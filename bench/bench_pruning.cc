@@ -5,11 +5,13 @@
 // deactivated nodes, antichain peak, recorded cover-edges, full-graph
 // fallback count (pinned at 0 since the cover-edge lasso path landed),
 // product states and interned types. The counters are
-// schedule- and host-independent (identical at every shard count), so
+// schedule- and host-independent, so
 // bench/baselines/bench_pruning.json doubles as a perf-regression
 // oracle: scripts/check_bench_counters.py fails CI on unexplained
 // counter growth while wall-clock stays informational (the recording
-// host has 1 vCPU — see ROADMAP).
+// host has 1 vCPU — see ROADMAP). The Table2 family (Table1 plus
+// arithmetic) runs pruned only: it is the one gated row whose product
+// pays for cell enumeration.
 #include <benchmark/benchmark.h>
 
 #include "bench_options.h"
@@ -93,6 +95,12 @@ const Workload& Table1CyclicWorkload() {
       /*with_sets=*/true, /*with_arith=*/false));
   return *w;
 }
+const Workload& Table2Workload() {
+  static auto* w = new Workload(MakeWorkload(
+      has::SchemaClass::kAcyclic, /*size=*/3, /*depth=*/2,
+      /*with_sets=*/true, /*with_arith=*/true));
+  return *w;
+}
 const Workload& DeepWorkload() {
   static auto* w = new Workload(MakeDeepHierarchy(/*depth=*/4, /*size=*/3));
   return *w;
@@ -123,6 +131,9 @@ void BM_Pruning_AdversarialCyclic(benchmark::State& s) {
 void BM_Pruning_MultiSet(benchmark::State& s) {
   RunVerification(s, MultiSetWorkload());
 }
+void BM_Pruning_Table2(benchmark::State& s) {
+  RunVerification(s, Table2Workload());
+}
 
 }  // namespace
 
@@ -135,6 +146,8 @@ BENCHMARK(BM_Pruning_Deep)->Arg(0)->Arg(1)
 BENCHMARK(BM_Pruning_AdversarialCyclic)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_Pruning_MultiSet)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_Pruning_Table2)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -38,7 +38,7 @@ Workload MakeWorkload(SchemaClass schema_class, int size, int depth,
 /// schema, with TWO relation-bound work services and an artifact
 /// relation per level — the per-level branching widens the product and
 /// every level of the recursion triggers child R_T queries, which is
-/// what stresses the sharded explorer's oracle path.
+/// what stresses the child-oracle path.
 Workload MakeDeepHierarchy(int depth, int size);
 
 /// Adversarial cyclic-schema family: every relation sits on two dense

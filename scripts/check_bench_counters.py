@@ -17,10 +17,10 @@ catch.
 Usage:
   check_bench_counters.py BASELINE.json RUN.json [--tolerance PCT]
 
-Exit code 1 iff a gated counter grew beyond the tolerance (default 0%)
-or a baselined benchmark is missing from the run. Benchmarks present in
-the run but not in the baseline are reported as needing a baseline
-update, not failed.
+Exit code 1 iff a gated counter grew beyond the tolerance (default 0%),
+a baselined benchmark is missing from the run, or the run has a
+benchmark the baseline lacks (an ungated row must not pass silently;
+add it to the baseline).
 """
 
 import argparse
@@ -39,16 +39,17 @@ GATED = [
     "counter_dims",
     # Marking payloads touched by domination probes (DominanceLeq
     # calls made by the bucketed dominance index): the dominance
-    # kernel's work count. Shard-count-invariant (probes replay the
-    # sequential decision order), so the sharded --exact gate doubles
-    # as the probe-determinism check. NOTE: until the bucketed index
-    # landed this counted entries EXAMINED (payload compares + summary
-    # skips); the semantics change shipped with a baseline re-record.
+    # kernel's work count. Deterministic (probes follow the explorer's
+    # sequential decision order), so the --exact differential gates
+    # double as the probe-determinism check. NOTE: until the bucketed
+    # index landed this counted entries EXAMINED (payload compares +
+    # summary skips); the semantics change shipped with a baseline
+    # re-record.
     "antichain_probes",
     # Summary buckets examined by the bucketed dominance index — the
-    # sublinear-probe work count. Deterministic and shard-count-
-    # invariant like antichain_probes (the bucket layout replays the
-    # sequential insertion/removal history).
+    # sublinear-probe work count. Deterministic like antichain_probes
+    # (the bucket layout follows the sequential insertion/removal
+    # history).
     "antichain_bucket_probes",
     # Coverability-node markings stored under the sparse
     # (dimension, value)-pair representation. A pure function of the
@@ -62,9 +63,9 @@ GATED = [
     "leq_true",
     "summary_pass",
     # Successors the ample-prefix partial-order reduction never
-    # generated. Deterministic and shard-count-invariant (the reduction
-    # replays the sequential decision order in the sharded merge), so
-    # any unexplained drift is a bug: growth fails outright, shrink
+    # generated. Deterministic (the reduction decides in the explorer's
+    # sequential order), so any unexplained drift is a bug: growth
+    # fails outright, shrink
     # fails under --exact and otherwise surfaces as a note next to the
     # cov_nodes growth it usually causes. Absent from pre-POR baseline
     # rows (the *_por_off.json differential baselines), which the
@@ -132,20 +133,12 @@ def main():
         "so the default is exact)",
     )
     parser.add_argument(
-        "--allow-missing-rows",
-        action="store_true",
-        help="tolerate baselined benchmarks absent from the run (for "
-        "gating a --benchmark_filter subset, e.g. bench_sharded at "
-        "1/2/4 shards against a baseline that also has the 8-shard "
-        "rows)",
-    )
-    parser.add_argument(
         "--exact",
         action="store_true",
         help="fail on ANY drift of a gated counter, shrinks included "
-        "(for determinism gates: the sharded rows must EQUAL the "
-        "baseline, so a regression that explores fewer nodes at some "
-        "shard count fails instead of reading as an improvement)",
+        "(for differential gates: the rows must EQUAL the frozen "
+        "baseline, so a change that explores fewer nodes fails instead "
+        "of reading as an improvement)",
     )
     args = parser.parse_args()
 
@@ -164,10 +157,7 @@ def main():
     for name, base in sorted(baseline.items()):
         cur = run.get(name)
         if cur is None:
-            if args.allow_missing_rows:
-                notes.append(f"{name}: not in the (filtered) run, skipped")
-            else:
-                failures.append(f"{name}: present in baseline but not in run")
+            failures.append(f"{name}: present in baseline but not in run")
             continue
         compared += 1
         for counter in GATED:
@@ -234,7 +224,7 @@ def main():
                 )
 
     for name in sorted(set(run) - set(baseline)):
-        notes.append(f"{name}: no baseline yet (add it to the JSON)")
+        failures.append(f"{name}: no baseline row (add it to the JSON)")
 
     if compared == 0:
         # A filter typo must not turn the gate into a silent no-op.

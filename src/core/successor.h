@@ -44,11 +44,6 @@ struct VerifierOptions {
   /// has fewer nodes than this. (Previously a buried `< 20000` literal
   /// on the unpruned path only; now honored with pruning on or off.)
   size_t lasso_witness_max_nodes = 20000;
-  /// Worker shards per coverability exploration: 1 = the sequential
-  /// explorer; > 1 shards Karp–Miller frontiers across that many
-  /// threads. The sharded build is deterministic and produces a graph
-  /// identical to the single-shard one, node for node.
-  int num_shards = 1;
   /// Bound on each exploration's successor cache (distinct product
   /// states kept; least-recently-used entries beyond are evicted).
   size_t succ_cache_capacity = 1 << 14;
@@ -61,9 +56,9 @@ struct VerifierOptions {
   /// cover-edges the pruned build records at its prune points — no
   /// unpruned graph is ever rebuilt (see RtEngine::ComputeEntry and
   /// vass/repeated.h). Default ON since the cover-edge lasso path
-  /// landed; verdicts are identical with the knob on or off, at every
-  /// shard count, but counterexample TEXT may differ (the graphs find
-  /// different — equally valid — witnesses).
+  /// landed; verdicts are identical with the knob on or off, but
+  /// counterexample TEXT may differ (the graphs find different —
+  /// equally valid — witnesses).
   bool prune_coverability = true;
   /// Ample-set partial-order reduction over internal services (the
   /// OTHER structural VERIFAS optimization; multiplies with, not
@@ -76,16 +71,15 @@ struct VerifierOptions {
   /// its successors as long as every one of them lands on a fresh node
   /// (the C3 discharge; see docs/ARCHITECTURE.md "Partial-order
   /// reduction"). Verdicts are identical with the knob on or off, on
-  /// every family and at every shard count — the sharded build keeps
-  /// node identity because the ample choice is a pure function of the
-  /// state — but counter counts (cov_nodes, cov_edges, ...) shrink.
+  /// every family, but counter counts (cov_nodes, cov_edges, ...)
+  /// shrink.
   bool por = true;
   /// Property-directed cone-of-influence slicing (analysis/slice.h):
   /// after validation and static analysis, drop services that can never
   /// fire, artifact relations no kept service retrieves from, and
   /// variables outside the property's cone before the product VASS is
   /// built. Verdicts are identical with the knob on or off, on every
-  /// family and at every shard count (differential-gated like POR), but
+  /// family (differential-gated like POR), but
   /// counter dimensions and node counts shrink on sliceable specs.
   /// Counterexample TEXT may omit sliced variables.
   bool slice = true;

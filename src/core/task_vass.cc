@@ -188,15 +188,16 @@ TaskVass::PendingEdge* TaskVass::EmitPending(const State& from,
   return &pending->edges.back();
 }
 
-std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
-    int state) {
-  auto pending = std::make_unique<PendingSuccessors>();
-  const State snapshot = states_[state];
+void TaskVass::EnumerateSuccessors(int state, PendingSuccessors* pending) {
+  // Enumeration interns only into the shared pool (and, through child
+  // queries, into other products), never into states_, so the reference
+  // stays valid.
+  const State& snapshot = states_[state];
   const Task& task = ctx_->task();
   // Returned states are absorbing.
   if (snapshot.service.kind == ServiceRef::Kind::kClosing &&
       snapshot.service.task == ctx_->task_id()) {
-    return pending;
+    return;
   }
   SymbolicConfig cur{pool_->type(snapshot.iso), pool_->cell(snapshot.cell)};
 
@@ -312,7 +313,7 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
         PendingEdge* pe = EmitPending(
             snapshot, s.next,
             ServiceRef::Internal(ctx_->task_id(), static_cast<int>(i)),
-            kNoTask, 0, svc.name, pending.get());
+            kNoTask, 0, svc.name, pending);
         pe->fresh_stages = true;
         pe->set_ops = std::move(ops);
       }
@@ -332,7 +333,7 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
       }
       PendingEdge* pe = EmitPending(
           snapshot, cur, ServiceRef::Internal(ctx_->task_id(), a), kNoTask,
-          0, svc.name, pending.get());
+          0, svc.name, pending);
       pe->fresh_stages = true;
       pe->set_ops = std::move(ops);
     }
@@ -367,7 +368,7 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
                                       ServiceRef::Opening(child_id),
                                       child_id, bc,
                                       StrCat("open ", child.name()),
-                                      pending.get());
+                                      pending);
         pe->stage_child = static_cast<int>(c);
         pe->stage_kind = ChildStage::Kind::kActive;
         pe->outcome_src = &result.returning[oi];
@@ -378,7 +379,7 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
         PendingEdge* pe = EmitPending(
             snapshot, cur, ServiceRef::Opening(child_id), child_id, bc,
             StrCat("open ", child.name(), " (non-returning)"),
-            pending.get());
+            pending);
         pe->stage_child = static_cast<int>(c);
         pe->stage_kind = ChildStage::Kind::kActiveBottom;
         pe->child_key = batch.keys[bc];
@@ -401,7 +402,7 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
       PendingEdge* pe = EmitPending(
           snapshot, next, ServiceRef::Closing(child_id), kNoTask, 0,
           StrCat("close ", ctx_->system().task(child_id).name()),
-          pending.get());
+          pending);
       pe->stage_child = static_cast<int>(c);
       pe->stage_kind = ChildStage::Kind::kClosed;
     }
@@ -412,21 +413,19 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
   if (!any_active && !ctx_->task().is_root() &&
       ctx_->EvalSym(*task.closing_pre(), cur) == Truth::kTrue) {
     EmitPending(snapshot, cur, ServiceRef::Closing(ctx_->task_id()), kNoTask,
-                0, "close self", pending.get());
+                0, "close self", pending);
   }
-  return pending;
 }
 
-void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
+void TaskVass::CommitSuccessors(int state, const PendingSuccessors& pending,
                                 std::vector<VassEdge>* out) {
-  auto* pending = static_cast<PendingSuccessors*>(prepared.get());
-  if (pending == nullptr) return;
-  truncated_ = truncated_ || pending->truncated;
+  truncated_ = truncated_ || pending.truncated;
+  // Copy: InternState below appends to states_.
   const State snapshot = states_[state];
   const Task& task = ctx_->task();
   int ample_committed = 0;
-  for (size_t pi = 0; pi < pending->edges.size(); ++pi) {
-    PendingEdge& pe = pending->edges[pi];
+  for (size_t pi = 0; pi < pending.edges.size(); ++pi) {
+    const PendingEdge& pe = pending.edges[pi];
     // Resolve artifact-relation bookkeeping to counter dimensions / ib
     // bits. Allocation order (ascending relation index per edge,
     // inserts before retrieves within a relation, pending-edge order
@@ -492,7 +491,7 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
       rec.child_result_index = pe.child_result_index;
       rec.note = pe.note;
       out->push_back(VassEdge{target, delta, InternRecord(std::move(rec))});
-      if (pi < static_cast<size_t>(pending->ample_pending)) {
+      if (pi < static_cast<size_t>(pending.ample_pending)) {
         ++ample_committed;
       }
     }
@@ -507,7 +506,9 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
 }
 
 void TaskVass::Successors(int state, std::vector<VassEdge>* out) {
-  CommitSuccessors(state, PrepareSuccessors(state), out);
+  PendingSuccessors pending;
+  EnumerateSuccessors(state, &pending);
+  CommitSuccessors(state, pending, out);
 }
 
 int TaskVass::AmplePrefix(int state) const {

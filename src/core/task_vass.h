@@ -68,8 +68,7 @@ struct RtQueryKeyHash {
 };
 
 /// Interface the product uses to query children (implemented by the
-/// RtEngine with memoization; Lemma 21's recursion). Implementations
-/// must be safe to call from concurrent product workers.
+/// RtEngine with memoization; Lemma 21's recursion).
 class RtOracle {
  public:
   virtual ~RtOracle() = default;
@@ -154,27 +153,16 @@ class TaskVass : public VassSystem {
   /// Builds and interns the initial states; returns their ids.
   std::vector<int> InitialStates();
 
-  /// Equivalent to CommitSuccessors(state, PrepareSuccessors(state)).
+  /// Enumerates the symbolic successors of `state` (EnumerateSuccessors),
+  /// then interns their product states, counter dimensions and
+  /// transition records (CommitSuccessors). Interning makes a repeated
+  /// call reproduce the same edges and labels.
   void Successors(int state, std::vector<VassEdge>* out) override;
 
-  // --- sharded-exploration protocol ------------------------------------
-  // Prepare runs the expensive symbolic work (successor enumeration,
-  // condition evaluation, child-oracle queries, pool interning) and is
-  // safe to call concurrently: it only reads product state and goes
-  // through thread-safe components (TypePool, RtOracle). Commit applies
-  // the cheap mutations (state/dimension/ib-bit/outcome/record
-  // interning); the explorer serializes commits in the sequential
-  // explorer's order, which keeps all product-internal numbering
-  // deterministic and schedule-independent.
-  bool SupportsConcurrentPrepare() const override { return true; }
-  std::unique_ptr<Prepared> PrepareSuccessors(int state) override;
-  void CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
-                        std::vector<VassEdge>* out) override;
   /// Committed length of `state`'s ample prefix (0 = no reduction): the
-  /// leading edges produced by the ample service selected in
-  /// PrepareSuccessors. Written only inside the serialized commit and a
-  /// pure function of the state's configuration, so recomputation after
-  /// cache eviction reproduces the same value.
+  /// leading edges produced by the ample services selected in
+  /// EnumerateSuccessors. A pure function of the state's configuration,
+  /// so recomputation after cache eviction reproduces the same value.
   int AmplePrefix(int state) const override;
 
   // --- state inspection (used by the RT computation) -------------------
@@ -314,7 +302,7 @@ class TaskVass : public VassSystem {
                                const ServiceRef& service, TaskId opened_child,
                                Assignment child_beta) const;
 
-  /// One prepared (not yet committed) product transition: the target
+  /// One enumerated (not yet committed) product transition: the target
   /// configuration is already pool-interned and the Büchi-compatible
   /// successor states are precomputed; everything that allocates
   /// product-local ids (counter dimensions, ib bits, outcomes, states,
@@ -349,7 +337,7 @@ class TaskVass : public VassSystem {
     int child_result_index = -1;
     std::string note;
   };
-  struct PendingSuccessors : Prepared {
+  struct PendingSuccessors {
     std::vector<PendingEdge> edges;
     bool truncated = false;
     /// Count of LEADING edges that are ample identity stutters, one
@@ -357,6 +345,15 @@ class TaskVass : public VassSystem {
     /// expands fully).
     int ample_pending = 0;
   };
+
+  /// The expensive symbolic half of Successors: successor enumeration,
+  /// condition evaluation, child-oracle queries and pool interning.
+  /// Allocates no product-local ids.
+  void EnumerateSuccessors(int state, PendingSuccessors* pending);
+  /// The cheap half: state/dimension/ib-bit/outcome/record interning,
+  /// in pending-edge order, so product-local numbering is reproducible.
+  void CommitSuccessors(int state, const PendingSuccessors& pending,
+                        std::vector<VassEdge>* out);
 
   /// Appends a PendingEdge for the transition into `next` (computing
   /// the letter and the compatible Büchi successors); the caller fills

@@ -31,11 +31,11 @@
 // Determinism contract: DominatorOf returns the MINIMUM node id among
 // all dominators of the candidate ("resolve ties by node rank"), which
 // is a pure function of the antichain CONTENT — independent of bucket
-// enumeration order, insertion history, or removal order. The
-// sequential build, the sharded rank-order merge replay, and the POR
-// ample-progress path therefore pick the identical node. (Bucket order
-// itself is insertion-ordered and replayed identically anyway, which
-// keeps the probe counters shard-invariant too.)
+// enumeration order, insertion history, or removal order — so the
+// explorer's drop and POR ample-progress paths pick the same node for
+// the same antichain. Bucket order is insertion order, and the explorer
+// inserts in its deterministic sequential decision order, so the probe
+// counters are reproducible too.
 #ifndef HAS_VASS_DOMINANCE_INDEX_H_
 #define HAS_VASS_DOMINANCE_INDEX_H_
 
