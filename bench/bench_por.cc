@@ -67,6 +67,10 @@ void RunVerification(benchmark::State& state, const Workload& w) {
       static_cast<double>(stats.ample_reduced_successors);
   state.counters["ample_full_expansions"] =
       static_cast<double>(stats.ample_full_expansions);
+  state.counters["succ_memo_hits"] =
+      static_cast<double>(stats.succ_memo_hits);
+  state.counters["succ_memo_misses"] =
+      static_cast<double>(stats.succ_memo_misses);
   state.counters["full_graph_builds"] =
       static_cast<double>(stats.full_graph_builds);
   state.counters["sliced_services"] =

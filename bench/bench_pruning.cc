@@ -72,6 +72,10 @@ void RunVerification(benchmark::State& state, const Workload& w) {
       static_cast<double>(stats.ample_reduced_successors);
   state.counters["ample_full_expansions"] =
       static_cast<double>(stats.ample_full_expansions);
+  state.counters["succ_memo_hits"] =
+      static_cast<double>(stats.succ_memo_hits);
+  state.counters["succ_memo_misses"] =
+      static_cast<double>(stats.succ_memo_misses);
   // Always 0 since lasso analysis runs on the pruned graph itself;
   // scripts/check_bench_counters.py fails the gate if it ever revives.
   state.counters["full_graph_builds"] =

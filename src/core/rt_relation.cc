@@ -16,6 +16,8 @@ RtEngine::RtEngine(const ArtifactSystem* system, const HltlProperty* property,
     contexts_[t] =
         std::make_unique<TaskContext>(system, property, t, options_, hcd);
     context_ptrs_[t] = contexts_[t].get();
+    succ_memos_[t] =
+        std::make_unique<SuccessorMemo>(contexts_[t].get(), &pool_);
   }
 }
 
@@ -77,7 +79,8 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
       key.task == system_->root() ? system_->global_pre().get() : nullptr;
   entry->vass = std::make_unique<TaskVass>(
       context_ptrs_.at(key.task), &context_ptrs_, automata_.get(), &pool_,
-      key.beta, input_iso, input_cell, this, filter);
+      succ_memos_.at(key.task).get(), key.beta, input_iso, input_cell, this,
+      filter);
   KarpMillerOptions km_options;
   km_options.max_nodes = options_.max_cov_nodes;
   km_options.succ_cache_capacity = options_.succ_cache_capacity;
@@ -160,6 +163,12 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
   stats_.pooled_cells = pool_.num_cells();
   stats_.succ_cache_hits += entry->graph->succ_cache_hits();
   stats_.succ_cache_misses += entry->graph->succ_cache_misses();
+  stats_.succ_memo_hits = 0;
+  stats_.succ_memo_misses = 0;
+  for (const auto& [task, memo] : succ_memos_) {
+    stats_.succ_memo_hits += memo->hits();
+    stats_.succ_memo_misses += memo->misses();
+  }
   stats_.pruned_successors += entry->graph->pruned_successors();
   stats_.deactivated_nodes += entry->graph->deactivated_nodes();
   stats_.antichain_peak =

@@ -37,6 +37,12 @@ struct RtStats {
   /// (one hit or miss per processed coverability node).
   size_t succ_cache_hits = 0;
   size_t succ_cache_misses = 0;
+  /// Successor-memo accounting (core/succ_memo.h), summed over tasks:
+  /// one lookup per (product state, internal service). Misses count
+  /// the distinct (task, type, cell, service) keys; only a miss
+  /// evaluates the pre-condition and runs EnumerateInternal.
+  size_t succ_memo_hits = 0;
+  size_t succ_memo_misses = 0;
   /// Antichain-pruning accounting (0 unless prune_coverability):
   /// successor candidates dropped by domination, nodes retired before
   /// expansion, largest per-state antichain seen, and cover-edges
@@ -170,6 +176,9 @@ class RtEngine : public RtOracle {
   VerifierOptions options_;
   const Hcd* hcd_;
   TypePool pool_;
+  /// Per-task successor memo over pool_ ids, shared by every product of
+  /// the task.
+  std::map<TaskId, std::unique_ptr<SuccessorMemo>> succ_memos_;
   std::unique_ptr<PropertyAutomata> automata_;
   std::map<TaskId, std::unique_ptr<TaskContext>> contexts_;
   std::map<TaskId, const TaskContext*> context_ptrs_;

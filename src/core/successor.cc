@@ -266,9 +266,8 @@ PartialIsoType TaskContext::TsType(const PartialIsoType& iso, int rel) const {
   const std::set<int>& tuple = rel_vars_[static_cast<size_t>(rel)];
   std::set<int> keep = input_vars_;
   keep.insert(tuple.begin(), tuple.end());
-  PartialIsoType proj = iso.Project(keep, nav_depth_);
-  proj.Normalize();
-  return proj;
+  // Project() already normalizes to a fixpoint.
+  return iso.Project(keep, nav_depth_);
 }
 
 std::string TaskContext::TsSignature(const PartialIsoType& iso,

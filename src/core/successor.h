@@ -193,8 +193,8 @@ class TaskContext {
 /// Set-update bookkeeping of one successor on ONE artifact relation.
 /// The retrieved tuple's canonical TS-type (meaningful iff `retrieves`)
 /// varies per successor; the inserted tuple's TS-type is the per-
-/// relation projection of the shared PRE-state, so the product
-/// recomputes and interns it once per (service, relation) application
+/// relation projection of the shared PRE-state, so the successor memo
+/// (core/succ_memo.h) interns it once per (type, cell, service) key
 /// (TaskContext::TsType) instead of carrying a copy here.
 struct SetOpEffect {
   int relation = 0;

@@ -10,13 +10,15 @@ namespace has {
 TaskVass::TaskVass(const TaskContext* ctx,
                    const std::map<TaskId, const TaskContext*>* child_ctxs,
                    PropertyAutomata* automata, TypePool* pool,
-                   Assignment beta, PartialIsoType input_iso, Cell input_cell,
+                   SuccessorMemo* memo, Assignment beta,
+                   PartialIsoType input_iso, Cell input_cell,
                    RtOracle* oracle, const Condition* opening_filter)
     : ctx_(ctx),
       child_ctxs_(child_ctxs),
       all_automata_(automata),
       automata_(&automata->ForTask(ctx->task_id())),
       pool_(pool),
+      memo_(memo),
       beta_(beta),
       input_iso_(std::move(input_iso)),
       input_cell_(input_cell),
@@ -166,18 +168,14 @@ std::vector<int> TaskVass::InitialStates() {
   return out;
 }
 
-TaskVass::PendingEdge* TaskVass::EmitPending(const State& from,
-                                             const SymbolicConfig& next,
-                                             const ServiceRef& service,
-                                             TaskId opened_child,
-                                             Assignment child_beta,
-                                             const std::string& note,
-                                             PendingSuccessors* pending) {
-  std::vector<bool> letter = MakeLetter(next, service, opened_child,
-                                        child_beta);
+TaskVass::PendingEdge* TaskVass::EmitPending(
+    const State& from, TypeId next_iso, CellId next_cell,
+    const std::vector<bool>& letter, const ServiceRef& service,
+    Assignment child_beta, const std::string& note,
+    PendingSuccessors* pending) {
   PendingEdge pe;
-  pe.next_iso = InternIso(next.iso);
-  pe.next_cell = InternCell(next.cell);
+  pe.next_iso = next_iso;
+  pe.next_cell = next_cell;
   pe.service = service;
   pe.child_beta = child_beta;
   pe.note = note;
@@ -186,6 +184,132 @@ TaskVass::PendingEdge* TaskVass::EmitPending(const State& from,
   }
   pending->edges.push_back(std::move(pe));
   return &pending->edges.back();
+}
+
+TaskVass::PendingEdge* TaskVass::EmitConfig(const State& from,
+                                            const SymbolicConfig& next,
+                                            const ServiceRef& service,
+                                            TaskId opened_child,
+                                            Assignment child_beta,
+                                            const std::string& note,
+                                            PendingSuccessors* pending) {
+  std::vector<bool> letter = MakeLetter(next, service, opened_child,
+                                        child_beta);
+  TypeId next_iso = InternIso(next.iso);
+  CellId next_cell = InternCell(next.cell);
+  return EmitPending(from, next_iso, next_cell, letter, service, child_beta,
+                     note, pending);
+}
+
+void TaskVass::EmitAmple(const State& from, const SymbolicConfig& cur,
+                         SuccessorMemo::ConfigEntry* config,
+                         PendingSuccessors* pending) {
+  const Task& task = ctx_->task();
+  if (!config->ample_computed) {
+    config->ample_computed = true;
+    for (size_t i = 0; i < task.services().size(); ++i) {
+      if (!ctx_->PorServiceEligible(static_cast<int>(i))) continue;
+      const InternalService& svc = task.service(static_cast<int>(i));
+      if (ctx_->EvalSym(*svc.pre, cur) != Truth::kTrue) continue;
+      if (ctx_->EvalSym(*svc.post, cur) != Truth::kTrue) continue;
+      SuccessorMemo::AmpleService ample;
+      ample.service = static_cast<int>(i);
+      config->ample.push_back(std::move(ample));
+    }
+    for (SuccessorMemo::AmpleService& ample : config->ample) {
+      const InternalService& svc = task.service(ample.service);
+      for (int rel = 0; rel < ctx_->num_set_relations(); ++rel) {
+        if (!svc.InsertsInto(rel)) continue;
+        SuccessorMemo::AmpleOp op;
+        op.relation = rel;
+        op.input_bound = ctx_->TsInputBound(cur.iso, rel);
+        op.ts = pool_->InternNormalized(ctx_->TsType(cur.iso, rel));
+        ample.ops.push_back(op);
+      }
+      ample.letter = memo_->InternLetter(MakeLetter(
+          cur, ServiceRef::Internal(ctx_->task_id(), ample.service), kNoTask,
+          0));
+    }
+  }
+  for (const SuccessorMemo::AmpleService& ample : config->ample) {
+    std::vector<PendingEdge::PendingSetOp> ops;
+    ops.reserve(ample.ops.size());
+    for (const SuccessorMemo::AmpleOp& a : ample.ops) {
+      PendingEdge::PendingSetOp op;
+      op.relation = a.relation;
+      op.inserts = true;
+      op.insert_input_bound = a.input_bound;
+      op.insert_ts = a.ts;
+      ops.push_back(op);
+    }
+    PendingEdge* pe = EmitPending(
+        from, from.iso, from.cell, memo_->letter(ample.letter),
+        ServiceRef::Internal(ctx_->task_id(), ample.service), 0,
+        task.service(ample.service).name, pending);
+    pe->fresh_stages = true;
+    pe->set_ops = std::move(ops);
+  }
+}
+
+void TaskVass::EmitService(const State& from, int svc,
+                           const SymbolicConfig& cur,
+                           SuccessorMemo::ConfigEntry* config,
+                           PendingSuccessors* pending) {
+  SuccessorMemo::ServiceEntry& entry = memo_->Service(config, svc, cur);
+  if (!entry.pre) return;
+  pending->truncated = pending->truncated || entry.truncated;
+  const ServiceRef service = ServiceRef::Internal(ctx_->task_id(), svc);
+  const std::string& note = ctx_->task().service(svc).name;
+  for (size_t si = 0; si < entry.succs.size(); ++si) {
+    std::vector<PendingEdge::PendingSetOp> ops;
+    ops.reserve(entry.set_ops.size());
+    bool feasible = true;
+    int k = 0;
+    for (const SuccessorMemo::SetOp& skel : entry.set_ops) {
+      PendingEdge::PendingSetOp op;
+      op.relation = skel.relation;
+      op.inserts = skel.inserts;
+      op.insert_input_bound = skel.insert_input_bound;
+      op.insert_ts = skel.insert_ts;
+      if (skel.retrieves) {
+        const SuccessorMemo::Retrieve& ret = memo_->RetrieveOf(&entry, si, k++);
+        op.retrieves = true;
+        op.retrieve_input_bound = ret.input_bound;
+        op.retrieve_ts = ret.ts;
+        if (ret.input_bound) {
+          // Read-only feasibility precheck (ib-bit ALLOCATION stays in
+          // the commit): the retrieve can only succeed when the
+          // (relation, type) bit is already in the state's set, or when
+          // this same transition inserts the identical TS type into the
+          // same relation. Skipping here saves the letter/interning/
+          // Büchi work for successors the commit would drop anyway.
+          auto it = ib_index_.find(RelTypeKey(op.relation, op.retrieve_ts));
+          bool in_set = it != ib_index_.end() &&
+                        std::find(from.ib_bits.begin(), from.ib_bits.end(),
+                                  it->second) != from.ib_bits.end();
+          bool inserted_same = op.inserts && op.insert_input_bound &&
+                               op.insert_ts == op.retrieve_ts;
+          if (!in_set && !inserted_same) {
+            feasible = false;
+            break;
+          }
+        }
+      }
+      ops.push_back(op);
+    }
+    if (!feasible) continue;
+    if (entry.succs[si].next_iso == kNoTypeId) {
+      memo_->InternNext(
+          &entry, si,
+          MakeLetter(entry.raw[si]->next, service, kNoTask, 0));
+    }
+    const SuccessorMemo::Successor& s = entry.succs[si];
+    PendingEdge* pe = EmitPending(from, s.next_iso, s.next_cell,
+                                  memo_->letter(s.letter), service, 0, note,
+                                  pending);
+    pe->fresh_stages = true;
+    pe->set_ops = std::move(ops);
+  }
 }
 
 void TaskVass::EnumerateSuccessors(int state, PendingSuccessors* pending) {
@@ -236,113 +360,20 @@ void TaskVass::EnumerateSuccessors(int state, PendingSuccessors* pending) {
     // as a POR-off build would (plus duplicate stutter edges that fold
     // into their own nodes). States entered by an observed service
     // expand fully — the stutter must not sit on a letter the property
-    // can see. Everything read here is part of the state's
-    // configuration, so the choice is a pure function of the state.
-    std::vector<int> ample;
+    // can see. Everything else the choice reads is part of the state's
+    // configuration, so the memo holds it per (type, cell) and the
+    // choice is a pure function of the state.
+    SuccessorMemo::ConfigEntry* config =
+        &memo_->Config(snapshot.iso, snapshot.cell);
     if (ctx_->options().por && !ctx_->PorServiceIsProp(snapshot.service)) {
-      for (size_t i = 0; i < task.services().size(); ++i) {
-        if (!ctx_->PorServiceEligible(static_cast<int>(i))) continue;
-        const InternalService& svc = task.service(static_cast<int>(i));
-        if (ctx_->EvalSym(*svc.pre, cur) != Truth::kTrue) continue;
-        if (ctx_->EvalSym(*svc.post, cur) != Truth::kTrue) continue;
-        ample.push_back(static_cast<int>(i));
-      }
-    }
-    // Emits every successor of service `i`; returns whether THIS
-    // service's enumeration was budget-truncated.
-    auto emit_service = [&](size_t i) -> bool {
-      const InternalService& svc = task.service(static_cast<int>(i));
-      if (ctx_->EvalSym(*svc.pre, cur) != Truth::kTrue) return false;
-      bool truncated = false;
-      std::vector<InternalSuccessor> succs =
-          EnumerateInternal(*ctx_, cur, svc, &truncated);
-      pending->truncated = pending->truncated || truncated;
-      // Each inserted TS-type is the per-relation projection of the
-      // CURRENT state, so it is identical across every successor of
-      // this service: intern once per relation (the retrieved types
-      // vary per successor).
-      std::map<int, TypeId> insert_ts;
-      if (!succs.empty()) {
-        for (int rel : svc.insert_rels) {
-          insert_ts[rel] =
-              pool_->InternNormalized(ctx_->TsType(cur.iso, rel));
-        }
-      }
-      for (InternalSuccessor& s : succs) {
-        std::vector<PendingEdge::PendingSetOp> ops;
-        ops.reserve(s.set_ops.size());
-        bool feasible = true;
-        for (SetOpEffect& eff : s.set_ops) {
-          PendingEdge::PendingSetOp op;
-          op.relation = eff.relation;
-          op.inserts = eff.inserts;
-          op.insert_input_bound = eff.insert_input_bound;
-          if (eff.inserts) op.insert_ts = insert_ts[eff.relation];
-          if (eff.retrieves) {
-            op.retrieves = true;
-            op.retrieve_input_bound = eff.retrieve_input_bound;
-            op.retrieve_ts =
-                pool_->InternNormalized(std::move(eff.retrieve_ts));
-            if (eff.retrieve_input_bound) {
-              // Read-only feasibility precheck (ib-bit ALLOCATION stays
-              // in the commit): the retrieve can only succeed when the
-              // (relation, type) bit is already in the state's set, or
-              // when this same transition inserts the identical TS type
-              // into the same relation. Skipping here saves the
-              // letter/interning/Büchi work for successors the commit
-              // would drop anyway. ib_index_ is only mutated by
-              // commits, which never overlap prepares.
-              auto it =
-                  ib_index_.find(RelTypeKey(eff.relation, op.retrieve_ts));
-              bool in_set =
-                  it != ib_index_.end() &&
-                  std::find(snapshot.ib_bits.begin(),
-                            snapshot.ib_bits.end(),
-                            it->second) != snapshot.ib_bits.end();
-              bool inserted_same = eff.inserts && eff.insert_input_bound &&
-                                   op.insert_ts == op.retrieve_ts;
-              if (!in_set && !inserted_same) {
-                feasible = false;
-                break;
-              }
-            }
-          }
-          ops.push_back(std::move(op));
-        }
-        if (!feasible) continue;
-        PendingEdge* pe = EmitPending(
-            snapshot, s.next,
-            ServiceRef::Internal(ctx_->task_id(), static_cast<int>(i)),
-            kNoTask, 0, svc.name, pending);
-        pe->fresh_stages = true;
-        pe->set_ops = std::move(ops);
-      }
-      return truncated;
-    };
-    for (int a : ample) {
-      const InternalService& svc = task.service(a);
-      std::vector<PendingEdge::PendingSetOp> ops;
-      for (int rel = 0; rel < ctx_->num_set_relations(); ++rel) {
-        if (!svc.InsertsInto(rel)) continue;
-        PendingEdge::PendingSetOp op;
-        op.relation = rel;
-        op.inserts = true;
-        op.insert_input_bound = ctx_->TsInputBound(cur.iso, rel);
-        op.insert_ts = pool_->InternNormalized(ctx_->TsType(cur.iso, rel));
-        ops.push_back(std::move(op));
-      }
-      PendingEdge* pe = EmitPending(
-          snapshot, cur, ServiceRef::Internal(ctx_->task_id(), a), kNoTask,
-          0, svc.name, pending);
-      pe->fresh_stages = true;
-      pe->set_ops = std::move(ops);
+      EmitAmple(snapshot, cur, config, pending);
     }
     // If no Büchi successor is compatible with the stutter letter the
     // prefix commits zero edges and AmplePrefix stays 0 — the state
     // expands fully.
     pending->ample_pending = static_cast<int>(pending->edges.size());
     for (size_t i = 0; i < task.services().size(); ++i) {
-      emit_service(i);
+      EmitService(snapshot, static_cast<int>(i), cur, config, pending);
     }
   }
 
@@ -364,11 +395,11 @@ void TaskVass::EnumerateSuccessors(int state, PendingSuccessors* pending) {
          bc < static_cast<Assignment>(num_assignments); ++bc) {
       const ChildResult& result = *batch.results[bc];
       for (size_t oi = 0; oi < result.returning.size(); ++oi) {
-        PendingEdge* pe = EmitPending(snapshot, cur,
-                                      ServiceRef::Opening(child_id),
-                                      child_id, bc,
-                                      StrCat("open ", child.name()),
-                                      pending);
+        PendingEdge* pe = EmitConfig(snapshot, cur,
+                                     ServiceRef::Opening(child_id),
+                                     child_id, bc,
+                                     StrCat("open ", child.name()),
+                                     pending);
         pe->stage_child = static_cast<int>(c);
         pe->stage_kind = ChildStage::Kind::kActive;
         pe->outcome_src = &result.returning[oi];
@@ -376,7 +407,7 @@ void TaskVass::EnumerateSuccessors(int state, PendingSuccessors* pending) {
         pe->child_result_index = static_cast<int>(oi);
       }
       if (result.has_bottom) {
-        PendingEdge* pe = EmitPending(
+        PendingEdge* pe = EmitConfig(
             snapshot, cur, ServiceRef::Opening(child_id), child_id, bc,
             StrCat("open ", child.name(), " (non-returning)"),
             pending);
@@ -399,7 +430,7 @@ void TaskVass::EnumerateSuccessors(int state, PendingSuccessors* pending) {
         *ctx_, *child_ctx, cur, o.iso, o.cell, &truncated);
     pending->truncated = pending->truncated || truncated;
     for (SymbolicConfig& next : nexts) {
-      PendingEdge* pe = EmitPending(
+      PendingEdge* pe = EmitConfig(
           snapshot, next, ServiceRef::Closing(child_id), kNoTask, 0,
           StrCat("close ", ctx_->system().task(child_id).name()),
           pending);
@@ -412,8 +443,8 @@ void TaskVass::EnumerateSuccessors(int state, PendingSuccessors* pending) {
   // has returned).
   if (!any_active && !ctx_->task().is_root() &&
       ctx_->EvalSym(*task.closing_pre(), cur) == Truth::kTrue) {
-    EmitPending(snapshot, cur, ServiceRef::Closing(ctx_->task_id()), kNoTask,
-                0, "close self", pending);
+    EmitConfig(snapshot, cur, ServiceRef::Closing(ctx_->task_id()), kNoTask,
+               0, "close self", pending);
   }
 }
 

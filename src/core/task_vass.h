@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/hashing.h"
+#include "core/succ_memo.h"
 #include "core/successor.h"
 #include "core/type_pool.h"
 #include "hltl/assignments.h"
@@ -143,12 +144,13 @@ class TaskVass : public VassSystem {
  public:
   /// `opening_filter` (nullable) must hold at opening configurations —
   /// the verifier passes Π for the root task. `pool` is the engine's
-  /// shared interning pool and must outlive the product.
+  /// shared interning pool and `memo` the engine's successor memo for
+  /// this task (keyed by `pool` ids); both must outlive the product.
   TaskVass(const TaskContext* ctx,
            const std::map<TaskId, const TaskContext*>* child_ctxs,
-           PropertyAutomata* automata, TypePool* pool, Assignment beta,
-           PartialIsoType input_iso, Cell input_cell, RtOracle* oracle,
-           const Condition* opening_filter);
+           PropertyAutomata* automata, TypePool* pool, SuccessorMemo* memo,
+           Assignment beta, PartialIsoType input_iso, Cell input_cell,
+           RtOracle* oracle, const Condition* opening_filter);
 
   /// Builds and interns the initial states; returns their ids.
   std::vector<int> InitialStates();
@@ -346,28 +348,45 @@ class TaskVass : public VassSystem {
     int ample_pending = 0;
   };
 
-  /// The expensive symbolic half of Successors: successor enumeration,
-  /// condition evaluation, child-oracle queries and pool interning.
-  /// Allocates no product-local ids.
+  /// The expensive symbolic half of Successors: successor enumeration
+  /// (read from the SuccessorMemo), child-oracle queries and pool
+  /// interning. Allocates no product-local ids.
   void EnumerateSuccessors(int state, PendingSuccessors* pending);
+  /// The ample stutters of `from` (POR; see EnumerateSuccessors).
+  void EmitAmple(const State& from, const SymbolicConfig& cur,
+                 SuccessorMemo::ConfigEntry* config,
+                 PendingSuccessors* pending);
+  /// Every successor of internal service `svc` at `from`.
+  void EmitService(const State& from, int svc, const SymbolicConfig& cur,
+                   SuccessorMemo::ConfigEntry* config,
+                   PendingSuccessors* pending);
   /// The cheap half: state/dimension/ib-bit/outcome/record interning,
   /// in pending-edge order, so product-local numbering is reproducible.
   void CommitSuccessors(int state, const PendingSuccessors& pending,
                         std::vector<VassEdge>* out);
 
-  /// Appends a PendingEdge for the transition into `next` (computing
-  /// the letter and the compatible Büchi successors); the caller fills
-  /// in the transition-specific bookkeeping on the returned edge.
-  PendingEdge* EmitPending(const State& from, const SymbolicConfig& next,
-                           const ServiceRef& service, TaskId opened_child,
-                           Assignment child_beta, const std::string& note,
+  /// Appends a PendingEdge for the transition into the interned
+  /// (next_iso, next_cell) with Büchi letter `letter` (computing the
+  /// compatible Büchi successors); the caller fills in the
+  /// transition-specific bookkeeping on the returned edge.
+  PendingEdge* EmitPending(const State& from, TypeId next_iso,
+                           CellId next_cell, const std::vector<bool>& letter,
+                           const ServiceRef& service, Assignment child_beta,
+                           const std::string& note,
                            PendingSuccessors* pending);
+  /// EmitPending for a raw configuration: computes its letter and
+  /// interns it.
+  PendingEdge* EmitConfig(const State& from, const SymbolicConfig& next,
+                          const ServiceRef& service, TaskId opened_child,
+                          Assignment child_beta, const std::string& note,
+                          PendingSuccessors* pending);
 
   const TaskContext* ctx_;
   const std::map<TaskId, const TaskContext*>* child_ctxs_;
   PropertyAutomata* all_automata_;
   TaskAutomata* automata_;
   TypePool* pool_;
+  SuccessorMemo* memo_;
   Assignment beta_;
   PartialIsoType input_iso_;
   Cell input_cell_;
