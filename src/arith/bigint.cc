@@ -1,45 +1,84 @@
 #include "arith/bigint.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/hashing.h"
 #include "common/status.h"
 
 namespace has {
 
-BigInt::BigInt(int64_t value) : negative_(value < 0) {
-  uint64_t mag =
-      value < 0 ? ~static_cast<uint64_t>(value) + 1 : static_cast<uint64_t>(value);
-  while (mag != 0) {
-    limbs_.push_back(static_cast<uint32_t>(mag & 0xffffffffu));
-    mag >>= 32;
+namespace {
+
+constexpr uint64_t kTwoTo63 = UINT64_C(1) << 63;
+
+/// |v| as an unsigned word (exact for INT64_MIN).
+uint64_t AbsSmall(int64_t v) {
+  return v < 0 ? 0 - static_cast<uint64_t>(v) : static_cast<uint64_t>(v);
+}
+
+}  // namespace
+
+BigInt BigInt::FromMagnitude(bool negative, uint64_t mag) {
+  if (!negative && mag < kTwoTo63) return BigInt(static_cast<int64_t>(mag));
+  // Two's complement: -mag fits int64 for every mag <= 2^63.
+  if (negative && mag <= kTwoTo63) {
+    return BigInt(static_cast<int64_t>(0 - mag));
   }
+  BigInt out;
+  out.small_ = negative ? -1 : 1;
+  out.limbs_ = {static_cast<uint32_t>(mag), static_cast<uint32_t>(mag >> 32)};
+  return out;
+}
+
+BigInt BigInt::FromMagnitude(bool negative, Limbs mag) {
+  Trim(&mag);
+  if (mag.size() <= 2) {
+    uint64_t word = 0;
+    if (mag.size() >= 1) word = mag[0];
+    if (mag.size() == 2) word |= static_cast<uint64_t>(mag[1]) << 32;
+    return FromMagnitude(negative, word);
+  }
+  BigInt out;
+  out.small_ = negative ? -1 : 1;
+  out.limbs_ = std::move(mag);
+  return out;
+}
+
+const BigInt::Limbs& BigInt::MagnitudeOf(const BigInt& x, Limbs* scratch) {
+  if (!x.is_small()) return x.limbs_;
+  scratch->clear();
+  for (uint64_t mag = AbsSmall(x.small_); mag != 0; mag >>= 32) {
+    scratch->push_back(static_cast<uint32_t>(mag));
+  }
+  return *scratch;
 }
 
 BigInt BigInt::FromString(const std::string& text) {
-  BigInt out;
   size_t i = 0;
   bool neg = false;
   if (i < text.size() && (text[i] == '-' || text[i] == '+')) {
     neg = text[i] == '-';
     ++i;
   }
-  BigInt ten(10);
-  for (; i < text.size(); ++i) {
-    HAS_CHECK_MSG(text[i] >= '0' && text[i] <= '9', "bad digit in BigInt");
-    out = out * ten + BigInt(text[i] - '0');
+  // Nine digits at a time: out = out * 10^k + chunk.
+  BigInt out;
+  while (i < text.size()) {
+    int64_t chunk = 0, scale = 1;
+    for (int k = 0; k < 9 && i < text.size(); ++k, ++i) {
+      HAS_CHECK_MSG(text[i] >= '0' && text[i] <= '9', "bad digit in BigInt");
+      chunk = chunk * 10 + (text[i] - '0');
+      scale *= 10;
+    }
+    out = out * BigInt(scale) + BigInt(chunk);
   }
-  if (neg && !out.is_zero()) out.negative_ = true;
-  return out;
+  return neg ? -out : out;
 }
 
-void BigInt::Trim(std::vector<uint32_t>* limbs) {
+void BigInt::Trim(Limbs* limbs) {
   while (!limbs->empty() && limbs->back() == 0) limbs->pop_back();
 }
 
-int BigInt::CompareMagnitude(const std::vector<uint32_t>& a,
-                             const std::vector<uint32_t>& b) {
+int BigInt::CompareMagnitude(const Limbs& a, const Limbs& b) {
   if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   for (size_t i = a.size(); i-- > 0;) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
@@ -47,9 +86,8 @@ int BigInt::CompareMagnitude(const std::vector<uint32_t>& a,
   return 0;
 }
 
-std::vector<uint32_t> BigInt::AddMagnitude(const std::vector<uint32_t>& a,
-                                           const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> out;
+BigInt::Limbs BigInt::AddMagnitude(const Limbs& a, const Limbs& b) {
+  Limbs out;
   out.reserve(std::max(a.size(), b.size()) + 1);
   uint64_t carry = 0;
   for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
@@ -63,9 +101,8 @@ std::vector<uint32_t> BigInt::AddMagnitude(const std::vector<uint32_t>& a,
   return out;
 }
 
-std::vector<uint32_t> BigInt::SubMagnitude(const std::vector<uint32_t>& a,
-                                           const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> out;
+BigInt::Limbs BigInt::SubMagnitude(const Limbs& a, const Limbs& b) {
+  Limbs out;
   out.reserve(a.size());
   int64_t borrow = 0;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -83,10 +120,9 @@ std::vector<uint32_t> BigInt::SubMagnitude(const std::vector<uint32_t>& a,
   return out;
 }
 
-std::vector<uint32_t> BigInt::MulMagnitude(const std::vector<uint32_t>& a,
-                                           const std::vector<uint32_t>& b) {
+BigInt::Limbs BigInt::MulMagnitude(const Limbs& a, const Limbs& b) {
   if (a.empty() || b.empty()) return {};
-  std::vector<uint32_t> out(a.size() + b.size(), 0);
+  Limbs out(a.size() + b.size(), 0);
   for (size_t i = 0; i < a.size(); ++i) {
     uint64_t carry = 0;
     for (size_t j = 0; j < b.size(); ++j) {
@@ -106,157 +142,224 @@ std::vector<uint32_t> BigInt::MulMagnitude(const std::vector<uint32_t>& a,
   return out;
 }
 
-std::vector<uint32_t> BigInt::DivMagnitude(const std::vector<uint32_t>& a,
-                                           const std::vector<uint32_t>& b,
-                                           std::vector<uint32_t>* rem) {
+uint32_t BigInt::DivMagnitudeBy(Limbs* a, uint32_t d) {
+  uint64_t rem = 0;
+  for (size_t i = a->size(); i-- > 0;) {
+    const uint64_t cur = (rem << 32) | (*a)[i];
+    (*a)[i] = static_cast<uint32_t>(cur / d);
+    rem = cur % d;
+  }
+  Trim(a);
+  return static_cast<uint32_t>(rem);
+}
+
+BigInt::Limbs BigInt::DivMagnitude(const Limbs& a, const Limbs& b,
+                                   Limbs* rem) {
   HAS_CHECK_MSG(!b.empty(), "BigInt division by zero");
   if (CompareMagnitude(a, b) < 0) {
     *rem = a;
     Trim(rem);
     return {};
   }
-  // Bit-by-bit long division: simple and obviously correct; coefficient
-  // sizes in this library stay small enough that O(bits * limbs) is
-  // never a bottleneck.
-  std::vector<uint32_t> quotient(a.size(), 0);
-  std::vector<uint32_t> remainder;
-  for (size_t bit_index = a.size() * 32; bit_index-- > 0;) {
-    // remainder <<= 1 | bit
-    uint32_t bit = (a[bit_index / 32] >> (bit_index % 32)) & 1u;
-    uint32_t carry = bit;
-    for (size_t i = 0; i < remainder.size(); ++i) {
-      uint32_t next_carry = remainder[i] >> 31;
-      remainder[i] = (remainder[i] << 1) | carry;
-      carry = next_carry;
-    }
-    if (carry != 0) remainder.push_back(carry);
-    Trim(&remainder);
-    if (CompareMagnitude(remainder, b) >= 0) {
-      remainder = SubMagnitude(remainder, b);
-      quotient[bit_index / 32] |= (1u << (bit_index % 32));
-    }
+  if (b.size() == 1) {
+    Limbs quotient = a;
+    const uint32_t r = DivMagnitudeBy(&quotient, b[0]);
+    *rem = r == 0 ? Limbs{} : Limbs{r};
+    return quotient;
   }
+  // Algorithm D. Normalize so the divisor's top limb has its high bit
+  // set; then each estimated quotient digit is at most 2 too large.
+  constexpr uint64_t kBase = UINT64_C(1) << 32;
+  const size_t n = b.size(), m = a.size();
+  const int shift = __builtin_clz(b.back());
+  Limbs v(n), u(m + 1);
+  for (size_t i = n; i-- > 0;) {
+    v[i] = b[i] << shift;
+    if (shift != 0 && i > 0) v[i] |= b[i - 1] >> (32 - shift);
+  }
+  u[m] = shift == 0 ? 0 : a[m - 1] >> (32 - shift);
+  for (size_t i = m; i-- > 0;) {
+    u[i] = a[i] << shift;
+    if (shift != 0 && i > 0) u[i] |= a[i - 1] >> (32 - shift);
+  }
+  Limbs quotient(m - n + 1, 0);
+  for (size_t j = m - n + 1; j-- > 0;) {
+    // Estimate q from the top two limbs of the current remainder and
+    // refine it with the divisor's second limb (q <= kBase - 1 after).
+    const uint64_t top = (static_cast<uint64_t>(u[j + n]) << 32) | u[j + n - 1];
+    uint64_t qhat = top / v[n - 1];
+    uint64_t rhat = top % v[n - 1];
+    while (qhat >= kBase ||
+           qhat * v[n - 2] > ((rhat << 32) | u[j + n - 2])) {
+      --qhat;
+      rhat += v[n - 1];
+      if (rhat >= kBase) break;
+    }
+    // u[j .. j+n] -= qhat * v.
+    uint64_t carry = 0, borrow = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t product = qhat * v[i] + carry;
+      carry = product >> 32;
+      const uint64_t diff =
+          static_cast<uint64_t>(u[i + j]) - (product & 0xffffffffu) - borrow;
+      u[i + j] = static_cast<uint32_t>(diff);
+      borrow = diff >> 63;
+    }
+    const uint64_t diff = static_cast<uint64_t>(u[j + n]) - carry - borrow;
+    u[j + n] = static_cast<uint32_t>(diff);
+    if ((diff >> 63) != 0) {
+      // qhat was one too large: add v back.
+      --qhat;
+      uint64_t add_carry = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t sum = static_cast<uint64_t>(u[i + j]) + v[i] + add_carry;
+        u[i + j] = static_cast<uint32_t>(sum);
+        add_carry = sum >> 32;
+      }
+      u[j + n] = static_cast<uint32_t>(u[j + n] + add_carry);
+    }
+    quotient[j] = static_cast<uint32_t>(qhat);
+  }
+  // The remainder is u[0 .. n-1] shifted back.
+  rem->assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    (*rem)[i] = u[i] >> shift;
+    if (shift != 0) (*rem)[i] |= u[i + 1] << (32 - shift);
+  }
+  Trim(rem);
   Trim(&quotient);
-  *rem = std::move(remainder);
   return quotient;
 }
 
 BigInt BigInt::operator-() const {
-  BigInt out = *this;
-  if (!out.is_zero()) out.negative_ = !out.negative_;
-  return out;
-}
-
-BigInt BigInt::operator+(const BigInt& o) const {
-  BigInt out;
-  if (negative_ == o.negative_) {
-    out.limbs_ = AddMagnitude(limbs_, o.limbs_);
-    out.negative_ = negative_;
-  } else {
-    int cmp = CompareMagnitude(limbs_, o.limbs_);
-    if (cmp == 0) return BigInt();
-    if (cmp > 0) {
-      out.limbs_ = SubMagnitude(limbs_, o.limbs_);
-      out.negative_ = negative_;
-    } else {
-      out.limbs_ = SubMagnitude(o.limbs_, limbs_);
-      out.negative_ = o.negative_;
-    }
+  if (is_small()) {
+    if (small_ == INT64_MIN) return FromMagnitude(false, kTwoTo63);
+    return BigInt(-small_);
   }
-  out.Normalize();
-  return out;
+  return FromMagnitude(!is_negative(), limbs_);
 }
 
-BigInt BigInt::operator-(const BigInt& o) const { return *this + (-o); }
+BigInt BigInt::AddSlow(const BigInt& a, const BigInt& b, bool negate_b) {
+  Limbs scratch_a, scratch_b;
+  const Limbs& ma = MagnitudeOf(a, &scratch_a);
+  const Limbs& mb = MagnitudeOf(b, &scratch_b);
+  const bool neg_a = a.is_negative();
+  const bool neg_b = b.is_zero() ? false : (b.is_negative() != negate_b);
+  if (neg_a == neg_b) return FromMagnitude(neg_a, AddMagnitude(ma, mb));
+  const int cmp = CompareMagnitude(ma, mb);
+  if (cmp == 0) return BigInt();
+  if (cmp > 0) return FromMagnitude(neg_a, SubMagnitude(ma, mb));
+  return FromMagnitude(neg_b, SubMagnitude(mb, ma));
+}
 
-BigInt BigInt::operator*(const BigInt& o) const {
-  BigInt out;
-  out.limbs_ = MulMagnitude(limbs_, o.limbs_);
-  out.negative_ = !out.limbs_.empty() && (negative_ != o.negative_);
-  return out;
+BigInt BigInt::MulSlow(const BigInt& a, const BigInt& b) {
+  Limbs scratch_a, scratch_b;
+  return FromMagnitude(a.is_negative() != b.is_negative(),
+                       MulMagnitude(MagnitudeOf(a, &scratch_a),
+                                    MagnitudeOf(b, &scratch_b)));
+}
+
+BigInt BigInt::DivModSlow(const BigInt& a, const BigInt& b, BigInt* rem) {
+  Limbs scratch_a, scratch_b, r;
+  Limbs q = DivMagnitude(MagnitudeOf(a, &scratch_a),
+                         MagnitudeOf(b, &scratch_b), &r);
+  *rem = FromMagnitude(a.is_negative(), std::move(r));
+  return FromMagnitude(a.is_negative() != b.is_negative(), std::move(q));
 }
 
 BigInt BigInt::operator/(const BigInt& o) const {
-  BigInt out;
-  std::vector<uint32_t> rem;
-  out.limbs_ = DivMagnitude(limbs_, o.limbs_, &rem);
-  out.negative_ = !out.limbs_.empty() && (negative_ != o.negative_);
-  return out;
+  if (both_small(o)) {
+    HAS_CHECK_MSG(o.small_ != 0, "BigInt division by zero");
+    // INT64_MIN / -1 = 2^63 is the one small quotient outside int64.
+    if (!(small_ == INT64_MIN && o.small_ == -1)) {
+      return BigInt(small_ / o.small_);
+    }
+  }
+  BigInt rem;
+  return DivModSlow(*this, o, &rem);
 }
 
 BigInt BigInt::operator%(const BigInt& o) const {
-  BigInt out;
-  std::vector<uint32_t> rem;
-  DivMagnitude(limbs_, o.limbs_, &rem);
-  out.limbs_ = std::move(rem);
-  out.negative_ = !out.limbs_.empty() && negative_;
-  return out;
+  if (both_small(o)) {
+    HAS_CHECK_MSG(o.small_ != 0, "BigInt division by zero");
+    // x % -1 is 0; INT64_MIN % -1 would trap in hardware.
+    return o.small_ == -1 ? BigInt() : BigInt(small_ % o.small_);
+  }
+  BigInt rem;
+  DivModSlow(*this, o, &rem);
+  return rem;
 }
 
-bool BigInt::operator<(const BigInt& o) const {
-  if (negative_ != o.negative_) return negative_;
-  int cmp = CompareMagnitude(limbs_, o.limbs_);
-  return negative_ ? cmp > 0 : cmp < 0;
+bool BigInt::LessSlow(const BigInt& a, const BigInt& b) {
+  if (a.sign() != b.sign()) return a.sign() < b.sign();
+  // Same nonzero sign, at least one limb value. A limb value lies
+  // outside int64, so it is farther from zero than any small value.
+  if (a.is_small()) return !b.is_negative();
+  if (b.is_small()) return a.is_negative();
+  const int cmp = CompareMagnitude(a.limbs_, b.limbs_);
+  return a.is_negative() ? cmp > 0 : cmp < 0;
 }
 
 BigInt BigInt::Gcd(BigInt a, BigInt b) {
-  a = a.Abs();
-  b = b.Abs();
-  while (!b.is_zero()) {
+  // Limb Euclid until both operands fit a word (one step, typically).
+  while (!a.is_small() || !b.is_small()) {
+    if (b.is_zero()) return a.Abs();
     BigInt r = a % b;
     a = std::move(b);
     b = std::move(r);
   }
-  return a;
+  uint64_t x = AbsSmall(a.small_), y = AbsSmall(b.small_);
+  while (y != 0) {
+    const uint64_t r = x % y;
+    x = y;
+    y = r;
+  }
+  return FromMagnitude(false, x);  // x = 2^63 promotes
 }
 
 BigInt BigInt::Abs() const {
-  BigInt out = *this;
-  out.negative_ = false;
-  return out;
+  if (!is_negative()) return *this;
+  return -*this;
 }
 
 double BigInt::ToDouble() const {
+  if (is_small()) return static_cast<double>(small_);
   double out = 0;
   for (size_t i = limbs_.size(); i-- > 0;) {
     out = out * 4294967296.0 + static_cast<double>(limbs_[i]);
   }
-  return negative_ ? -out : out;
-}
-
-bool BigInt::FitsInt64(int64_t* out) const {
-  if (limbs_.size() > 2) return false;
-  uint64_t mag = 0;
-  if (limbs_.size() >= 1) mag = limbs_[0];
-  if (limbs_.size() == 2) mag |= static_cast<uint64_t>(limbs_[1]) << 32;
-  if (negative_) {
-    if (mag > (UINT64_C(1) << 63)) return false;
-    *out = -static_cast<int64_t>(mag);
-  } else {
-    if (mag >= (UINT64_C(1) << 63)) return false;
-    *out = static_cast<int64_t>(mag);
-  }
-  return true;
+  return is_negative() ? -out : out;
 }
 
 std::string BigInt::ToString() const {
-  if (is_zero()) return "0";
+  if (is_small()) return std::to_string(small_);
+  // Nine decimal digits per single-limb division by 10^9.
+  constexpr uint32_t kChunk = 1000000000;
   std::string digits;
-  std::vector<uint32_t> mag = limbs_;
-  const std::vector<uint32_t> ten = {10};
+  Limbs mag = limbs_;
   while (!mag.empty()) {
-    std::vector<uint32_t> rem;
-    mag = DivMagnitude(mag, ten, &rem);
-    digits.push_back(static_cast<char>('0' + (rem.empty() ? 0 : rem[0])));
+    uint32_t chunk = DivMagnitudeBy(&mag, kChunk);
+    for (int k = 0; k < 9 && (chunk != 0 || !mag.empty()); ++k) {
+      digits.push_back(static_cast<char>('0' + chunk % 10));
+      chunk /= 10;
+    }
   }
-  if (negative_) digits.push_back('-');
+  if (is_negative()) digits.push_back('-');
   std::reverse(digits.begin(), digits.end());
   return digits;
 }
 
 size_t BigInt::Hash() const {
-  size_t seed = negative_ ? 1 : 0;
-  for (uint32_t limb : limbs_) HashMix(&seed, limb);
+  // The hash of the sign-magnitude limb form for every value, so the
+  // stored form never shows in hash-ordered containers.
+  size_t seed = is_negative() ? 1 : 0;
+  if (is_small()) {
+    for (uint64_t mag = AbsSmall(small_); mag != 0; mag >>= 32) {
+      HashMix(&seed, static_cast<uint32_t>(mag));
+    }
+  } else {
+    for (uint32_t limb : limbs_) HashMix(&seed, limb);
+  }
   return seed;
 }
 

@@ -1,7 +1,5 @@
 #include "arith/rational.h"
 
-#include <cmath>
-
 #include "common/hashing.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -23,27 +21,12 @@ void Rational::Normalize() {
     den_ = BigInt(1);
     return;
   }
+  if (is_integer()) return;
   BigInt g = BigInt::Gcd(num_, den_);
   if (g != BigInt(1)) {
     num_ = num_ / g;
     den_ = den_ / g;
   }
-}
-
-Rational Rational::FromDouble(double x) {
-  HAS_CHECK_MSG(std::isfinite(x), "Rational from non-finite double");
-  // Exact binary expansion: x = m * 2^e with integer m.
-  int exp = 0;
-  double mantissa = std::frexp(x, &exp);
-  // Scale mantissa to an integer (53 bits of precision).
-  int64_t m = static_cast<int64_t>(std::ldexp(mantissa, 53));
-  exp -= 53;
-  BigInt num(m);
-  BigInt den(1);
-  BigInt two(2);
-  for (; exp > 0; --exp) num = num * two;
-  for (; exp < 0; ++exp) den = den * two;
-  return Rational(std::move(num), std::move(den));
 }
 
 Rational Rational::operator-() const {
@@ -52,15 +35,26 @@ Rational Rational::operator-() const {
   return out;
 }
 
+// Integer operands (denominator 1) are the common case: they skip the
+// GCD and the cross-multiplications. a/b + c = (a + c*b)/b is already in
+// lowest terms because gcd(a + c*b, b) = gcd(a, b) = 1; for b > 1 that
+// also rules out a zero numerator.
 Rational Rational::operator+(const Rational& o) const {
+  if (o.is_integer()) return InLowestTerms(num_ + o.num_ * den_, den_);
+  if (is_integer()) return InLowestTerms(num_ * o.den_ + o.num_, o.den_);
   return Rational(num_ * o.den_ + o.num_ * den_, den_ * o.den_);
 }
 
 Rational Rational::operator-(const Rational& o) const {
+  if (o.is_integer()) return InLowestTerms(num_ - o.num_ * den_, den_);
+  if (is_integer()) return InLowestTerms(num_ * o.den_ - o.num_, o.den_);
   return Rational(num_ * o.den_ - o.num_ * den_, den_ * o.den_);
 }
 
 Rational Rational::operator*(const Rational& o) const {
+  if (is_integer() && o.is_integer()) {
+    return InLowestTerms(num_ * o.num_, BigInt(1));
+  }
   return Rational(num_ * o.num_, den_ * o.den_);
 }
 
@@ -70,11 +64,12 @@ Rational Rational::operator/(const Rational& o) const {
 }
 
 bool Rational::operator<(const Rational& o) const {
+  if (den_ == o.den_) return num_ < o.num_;
   return num_ * o.den_ < o.num_ * den_;
 }
 
 std::string Rational::ToString() const {
-  if (den_ == BigInt(1)) return num_.ToString();
+  if (is_integer()) return num_.ToString();
   return StrCat(num_.ToString(), "/", den_.ToString());
 }
 

@@ -5,6 +5,7 @@
 #define HAS_ARITH_RATIONAL_H_
 
 #include <string>
+#include <utility>
 
 #include "arith/bigint.h"
 
@@ -15,8 +16,6 @@ class Rational {
   Rational() : num_(0), den_(1) {}
   Rational(int64_t value) : num_(value), den_(1) {}  // NOLINT: implicit
   Rational(BigInt num, BigInt den);
-
-  static Rational FromDouble(double x);
 
   const BigInt& num() const { return num_; }
   const BigInt& den() const { return den_; }
@@ -48,6 +47,15 @@ class Rational {
   size_t Hash() const;
 
  private:
+  /// num/den without normalizing: the caller guarantees lowest terms,
+  /// den > 0, and den = 1 when num = 0.
+  static Rational InLowestTerms(BigInt num, BigInt den) {
+    Rational out;
+    out.num_ = std::move(num);
+    out.den_ = std::move(den);
+    return out;
+  }
+  bool is_integer() const { return den_ == BigInt(1); }
   void Normalize();
 
   BigInt num_;

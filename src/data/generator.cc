@@ -23,7 +23,7 @@ DatabaseInstance GenerateInstance(const DatabaseSchema& schema,
       for (int a = 1; a < rel.arity(); ++a) {
         const Attribute& attr = rel.attr(a);
         if (attr.kind == AttrKind::kNumeric) {
-          t.push_back(Value::Real(static_cast<double>(num_dist(rng))));
+          t.push_back(Value::Real(num_dist(rng)));
         } else {
           t.push_back(Value::Id(attr.references, id_dist(rng)));
         }

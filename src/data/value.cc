@@ -25,7 +25,7 @@ std::string Value::ToString() const {
     case ValueKind::kId:
       return StrCat("#", relation_, ":", bits_);
     case ValueKind::kReal:
-      return StrCat(real_);
+      return real_.ToString();
   }
   return "?";
 }
@@ -40,7 +40,7 @@ size_t Value::Hash() const {
       HashMix(&seed, bits_);
       break;
     case ValueKind::kReal:
-      HashMix(&seed, real_);
+      HashCombine(&seed, real_.Hash());
       break;
   }
   return seed;

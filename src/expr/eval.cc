@@ -15,7 +15,7 @@ Value TermValue(const Term& t, const Valuation& nu) {
     case Term::Kind::kNull:
       return Value::Null();
     case Term::Kind::kConst:
-      return Value::Real(t.value.ToDouble());
+      return Value::Real(t.value);
   }
   return Value::Null();
 }
@@ -53,7 +53,7 @@ bool EvalCondition(const Condition& cond, const DatabaseInstance& db,
         HAS_CHECK_MSG(v >= 0 && v < static_cast<int>(nu.size()),
                       "arith variable out of valuation range");
         HAS_CHECK_MSG(nu[v].is_real(), "arith variable bound to non-real");
-        return Rational::FromDouble(nu[v].real());
+        return nu[v].real();
       });
       switch (c.op) {
         case Relop::kLt:

@@ -21,9 +21,7 @@ class Simulator {
     for (RelationId r = 0; r < db.schema().num_relations(); ++r) {
       for (const Tuple& t : db.tuples(r)) AddId(t[0]);
     }
-    for (double x : options.numeric_pool) {
-      AddNum(Value::Real(x));
-    }
+    for (const Rational& x : options.numeric_pool) AddNum(Value::Real(x));
     for (TaskId t = 0; t < system.num_tasks(); ++t) {
       CollectConstants(system.task(t));
     }
@@ -71,12 +69,11 @@ class Simulator {
       if (a->kind() == CondKind::kEq) {
         for (const Term* t : {&a->lhs(), &a->rhs()}) {
           if (t->kind == Term::Kind::kConst) {
-            AddNum(Value::Real(t->value.ToDouble()));
+            AddNum(Value::Real(t->value));
           }
         }
       } else if (a->kind() == CondKind::kArith) {
-        AddNum(Value::Real((Rational(0) - a->constraint().expr.constant())
-                               .ToDouble()));
+        AddNum(Value::Real(-a->constraint().expr.constant()));
       }
     }
   }

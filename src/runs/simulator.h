@@ -8,7 +8,9 @@
 #define HAS_RUNS_SIMULATOR_H_
 
 #include <random>
+#include <vector>
 
+#include "arith/rational.h"
 #include "runs/run_tree.h"
 
 namespace has {
@@ -21,7 +23,7 @@ struct SimulatorOptions {
   int valuation_attempts = 200;
   /// Extra numeric constants to draw from (condition constants are
   /// added automatically).
-  std::vector<double> numeric_pool = {0, 1, 2, 3, 5, 8};
+  std::vector<Rational> numeric_pool = {0, 1, 2, 3, 5, 8};
 };
 
 /// Simulates one tree of local runs; returns nullopt when the root task

@@ -22,8 +22,10 @@ TEST(ValueTest, Basics) {
   EXPECT_EQ(id.relation(), 1);
   EXPECT_EQ(id.id(), 7u);
   EXPECT_NE(id, Value::Id(0, 7));  // relation-tagged domains disjoint
-  EXPECT_EQ(Value::Real(2.5).real(), 2.5);
-  EXPECT_NE(Value::Real(2.5), Value::Null());
+  const Rational five_halves(BigInt(5), BigInt(2));
+  EXPECT_EQ(Value::Real(five_halves).real(), five_halves);
+  EXPECT_NE(Value::Real(five_halves), Value::Null());
+  EXPECT_NE(Value::Real(five_halves), Value::Real(2));
 }
 
 TEST(InstanceTest, InsertAndFind) {

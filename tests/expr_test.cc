@@ -134,5 +134,32 @@ TEST(EvalTest, ArithmeticAtoms) {
   EXPECT_TRUE(EvalCondition(*both, db, nu));
 }
 
+// Decimal constants are exact in concrete runs: 0.1 is 1/10, not the
+// nearest double, so price = 0.1 satisfies both `price - 1/10 <= 0` and
+// `price - 1/10 = 0`, and 0.1 + 0.2 = 0.3 holds.
+TEST(EvalTest, DecimalConstantsAreExact) {
+  Fixture f;
+  DatabaseInstance db(&f.schema);
+  auto tenths = [](int64_t k) { return Rational(BigInt(k), BigInt(10)); };
+  const int other = 3;  // a second numeric variable, y
+  Valuation nu(4);
+  nu[f.price] = Value::Real(tenths(1));
+  nu[other] = Value::Real(tenths(2));
+  LinearExpr x_minus = LinearExpr::Var(f.price);
+  x_minus.AddConstant(-tenths(1));  // x - 1/10
+  for (Relop op : {Relop::kLe, Relop::kEq}) {
+    CondPtr atom = Condition::Arith(LinearConstraint{x_minus, op});
+    EXPECT_TRUE(EvalCondition(*atom, db, nu)) << RelopName(op);
+  }
+  EXPECT_FALSE(EvalCondition(
+      *Condition::Arith(LinearConstraint{x_minus, Relop::kLt}), db, nu));
+  EXPECT_TRUE(EvalCondition(
+      *Condition::Eq(Term::Var(f.price), Term::Const(tenths(1))), db, nu));
+  LinearExpr sum = LinearExpr::Var(f.price) + LinearExpr::Var(other);
+  sum.AddConstant(-tenths(3));  // x + y - 3/10
+  EXPECT_TRUE(EvalCondition(
+      *Condition::Arith(LinearConstraint{sum, Relop::kEq}), db, nu));
+}
+
 }  // namespace
 }  // namespace has

@@ -131,7 +131,7 @@ PartialIsoType RandomType(const Fixture& f, const DatabaseInstance& db,
         // Tag n with a numeric value from the generated instance.
         if (tuples.empty()) break;
         const Tuple& tuple = tuples[(*rng)() % tuples.size()];
-        Rational value = Rational::FromDouble(tuple.back().real());
+        const Rational& value = tuple.back().real();
         (void)t.AssertEq(t.VarElement(f.n), t.ConstElement(value));
         break;
       }
