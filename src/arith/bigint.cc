@@ -54,22 +54,17 @@ const BigInt::Limbs& BigInt::MagnitudeOf(const BigInt& x, Limbs* scratch) {
 }
 
 BigInt BigInt::FromString(const std::string& text) {
+  BigInt out;
   size_t i = 0;
   bool neg = false;
   if (i < text.size() && (text[i] == '-' || text[i] == '+')) {
     neg = text[i] == '-';
     ++i;
   }
-  // Nine digits at a time: out = out * 10^k + chunk.
-  BigInt out;
-  while (i < text.size()) {
-    int64_t chunk = 0, scale = 1;
-    for (int k = 0; k < 9 && i < text.size(); ++k, ++i) {
-      HAS_CHECK_MSG(text[i] >= '0' && text[i] <= '9', "bad digit in BigInt");
-      chunk = chunk * 10 + (text[i] - '0');
-      scale *= 10;
-    }
-    out = out * BigInt(scale) + BigInt(chunk);
+  BigInt ten(10);
+  for (; i < text.size(); ++i) {
+    HAS_CHECK_MSG(text[i] >= '0' && text[i] <= '9', "bad digit in BigInt");
+    out = out * ten + BigInt(text[i] - '0');
   }
   return neg ? -out : out;
 }
@@ -167,67 +162,27 @@ BigInt::Limbs BigInt::DivMagnitude(const Limbs& a, const Limbs& b,
     *rem = r == 0 ? Limbs{} : Limbs{r};
     return quotient;
   }
-  // Algorithm D. Normalize so the divisor's top limb has its high bit
-  // set; then each estimated quotient digit is at most 2 too large.
-  constexpr uint64_t kBase = UINT64_C(1) << 32;
-  const size_t n = b.size(), m = a.size();
-  const int shift = __builtin_clz(b.back());
-  Limbs v(n), u(m + 1);
-  for (size_t i = n; i-- > 0;) {
-    v[i] = b[i] << shift;
-    if (shift != 0 && i > 0) v[i] |= b[i - 1] >> (32 - shift);
-  }
-  u[m] = shift == 0 ? 0 : a[m - 1] >> (32 - shift);
-  for (size_t i = m; i-- > 0;) {
-    u[i] = a[i] << shift;
-    if (shift != 0 && i > 0) u[i] |= a[i - 1] >> (32 - shift);
-  }
-  Limbs quotient(m - n + 1, 0);
-  for (size_t j = m - n + 1; j-- > 0;) {
-    // Estimate q from the top two limbs of the current remainder and
-    // refine it with the divisor's second limb (q <= kBase - 1 after).
-    const uint64_t top = (static_cast<uint64_t>(u[j + n]) << 32) | u[j + n - 1];
-    uint64_t qhat = top / v[n - 1];
-    uint64_t rhat = top % v[n - 1];
-    while (qhat >= kBase ||
-           qhat * v[n - 2] > ((rhat << 32) | u[j + n - 2])) {
-      --qhat;
-      rhat += v[n - 1];
-      if (rhat >= kBase) break;
+  // Bit-by-bit long division for multi-limb divisors.
+  Limbs quotient(a.size(), 0);
+  Limbs remainder;
+  for (size_t bit_index = a.size() * 32; bit_index-- > 0;) {
+    // remainder <<= 1 | bit
+    uint32_t bit = (a[bit_index / 32] >> (bit_index % 32)) & 1u;
+    uint32_t carry = bit;
+    for (size_t i = 0; i < remainder.size(); ++i) {
+      uint32_t next_carry = remainder[i] >> 31;
+      remainder[i] = (remainder[i] << 1) | carry;
+      carry = next_carry;
     }
-    // u[j .. j+n] -= qhat * v.
-    uint64_t carry = 0, borrow = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t product = qhat * v[i] + carry;
-      carry = product >> 32;
-      const uint64_t diff =
-          static_cast<uint64_t>(u[i + j]) - (product & 0xffffffffu) - borrow;
-      u[i + j] = static_cast<uint32_t>(diff);
-      borrow = diff >> 63;
+    if (carry != 0) remainder.push_back(carry);
+    Trim(&remainder);
+    if (CompareMagnitude(remainder, b) >= 0) {
+      remainder = SubMagnitude(remainder, b);
+      quotient[bit_index / 32] |= (1u << (bit_index % 32));
     }
-    const uint64_t diff = static_cast<uint64_t>(u[j + n]) - carry - borrow;
-    u[j + n] = static_cast<uint32_t>(diff);
-    if ((diff >> 63) != 0) {
-      // qhat was one too large: add v back.
-      --qhat;
-      uint64_t add_carry = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t sum = static_cast<uint64_t>(u[i + j]) + v[i] + add_carry;
-        u[i + j] = static_cast<uint32_t>(sum);
-        add_carry = sum >> 32;
-      }
-      u[j + n] = static_cast<uint32_t>(u[j + n] + add_carry);
-    }
-    quotient[j] = static_cast<uint32_t>(qhat);
   }
-  // The remainder is u[0 .. n-1] shifted back.
-  rem->assign(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    (*rem)[i] = u[i] >> shift;
-    if (shift != 0) (*rem)[i] |= u[i + 1] << (32 - shift);
-  }
-  Trim(rem);
   Trim(&quotient);
+  *rem = std::move(remainder);
   return quotient;
 }
 

@@ -121,8 +121,7 @@ class BigInt {
   /// Requires |a| >= |b|.
   static Limbs SubMagnitude(const Limbs& a, const Limbs& b);
   static Limbs MulMagnitude(const Limbs& a, const Limbs& b);
-  /// Word-level long division of magnitudes (Knuth, TAOCP vol. 2,
-  /// 4.3.1, Algorithm D): returns the quotient, sets *rem.
+  /// Long division of magnitudes: returns the quotient, sets *rem.
   static Limbs DivMagnitude(const Limbs& a, const Limbs& b, Limbs* rem);
   /// Divides *a in place by a single limb; returns the remainder.
   static uint32_t DivMagnitudeBy(Limbs* a, uint32_t d);

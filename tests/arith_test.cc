@@ -208,7 +208,7 @@ TEST(BigIntDifferential, StringRoundTripAcrossBoundary) {
       }
     }
   }
-  // Chunked parsing and printing keep inner zero runs.
+  // Chunked printing keeps inner zero runs.
   const std::string zeros = "-100000000000000000000000000000000000000001";
   EXPECT_EQ(BigInt::FromString(zeros).ToString(), zeros);
   EXPECT_EQ(BigInt::FromString("+0").ToString(), "0");
@@ -217,14 +217,14 @@ TEST(BigIntDifferential, StringRoundTripAcrossBoundary) {
 }
 
 TEST(BigIntDifferential, WideDivisionMatchesMultiplication) {
-  // Dividends and divisors of several limbs (Algorithm D, including
-  // quotient-digit corrections) checked by q * b + r == a, |r| < |b|.
+  // Dividends and divisors of several limbs, checked by q * b + r == a,
+  // |r| < |b|.
   std::mt19937_64 rng(5);
   auto random_big = [&rng](int limbs) {
     BigInt v(0);
     for (int i = 0; i < limbs; ++i) {
-      // Mostly extreme limbs: all-ones and top-bit patterns provoke the
-      // add-back step.
+      // Mostly extreme limbs: all-ones and top-bit patterns stress
+      // carries and borrows.
       const uint64_t pick = rng() % 4;
       const int64_t limb = pick == 0   ? INT64_C(0xffffffff)
                            : pick == 1 ? INT64_C(0x80000000)
