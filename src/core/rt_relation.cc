@@ -83,7 +83,6 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
       filter);
   KarpMillerOptions km_options;
   km_options.max_nodes = options_.max_cov_nodes;
-  km_options.succ_cache_capacity = options_.succ_cache_capacity;
   km_options.prune_coverability = options_.prune_coverability;
   km_options.por = options_.por;
   entry->graph = std::make_unique<KarpMiller>(entry->vass.get(), km_options);

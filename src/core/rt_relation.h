@@ -33,8 +33,9 @@ struct RtStats {
   /// Canonical types / cells hash-consed in the engine's shared pool.
   size_t pooled_types = 0;
   size_t pooled_cells = 0;
-  /// Successor-cache accounting across all coverability explorations
-  /// (one hit or miss per processed coverability node).
+  /// Successor-list accounting across all coverability explorations
+  /// (one hit or miss per processed coverability node; a miss is the
+  /// first expansion of a product state, its one successor pass).
   size_t succ_cache_hits = 0;
   size_t succ_cache_misses = 0;
   /// Successor-memo accounting (core/succ_memo.h), summed over tasks:
@@ -134,6 +135,7 @@ class RtEngine : public RtOracle {
   const TaskContext& context(TaskId t) const { return *contexts_.at(t); }
   /// The engine-wide interning pool (shared by every per-task product).
   const TypePool& pool() const { return pool_; }
+  const SuccessorMemo& succ_memo(TaskId t) const { return *succ_memos_.at(t); }
 
   /// Access to a memo entry's exploration artifacts (counterexample
   /// rendering).

@@ -44,9 +44,6 @@ struct VerifierOptions {
   /// has fewer nodes than this. (Previously a buried `< 20000` literal
   /// on the unpruned path only; now honored with pruning on or off.)
   size_t lasso_witness_max_nodes = 20000;
-  /// Bound on each exploration's successor cache (distinct product
-  /// states kept; least-recently-used entries beyond are evicted).
-  size_t succ_cache_capacity = 1 << 14;
   /// Antichain subsumption pruning for the coverability explorations
   /// (minimal-coverability-set style; VERIFAS' biggest practical win
   /// over the naive Karp–Miller construction). Every consumer reads

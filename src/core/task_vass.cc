@@ -49,19 +49,20 @@ int TaskVass::InternState(State s) {
   return candidate;
 }
 
-int64_t TaskVass::InternRecord(TransitionRecord rec) {
-  RecordKey key;
-  key.service = rec.service;
-  key.target = rec.target_state;
-  key.child_beta = rec.child_beta;
-  key.child_key = rec.child_key;
-  key.child_result_index = rec.child_result_index;
-  auto it = record_index_.find(key);
-  if (it != record_index_.end()) return it->second;
-  int64_t label = static_cast<int64_t>(records_.size());
-  records_.push_back(std::move(rec));
-  record_index_.emplace(key, label);
-  return label;
+int64_t TaskVass::InternRecord(const RecordKey& key, const std::string& note) {
+  auto [it, inserted] =
+      record_index_.try_emplace(key, static_cast<int64_t>(records_.size()));
+  if (inserted) {
+    TransitionRecord rec;
+    rec.service = key.service;
+    rec.target_state = key.target;
+    rec.child_beta = key.child_beta;
+    rec.child_key = key.child_key;
+    rec.child_result_index = key.child_result_index;
+    rec.note = note;
+    records_.push_back(std::move(rec));
+  }
+  return it->second;
 }
 
 int TaskVass::DimOf(int relation, TypeId ts) {
@@ -84,11 +85,12 @@ int TaskVass::IbIdOf(int relation, TypeId ts) {
   return id;
 }
 
-int TaskVass::InternOutcome(ChildOutcome outcome) {
+int TaskVass::InternOutcome(const ChildOutcome& outcome) {
   OutcomeKey key;
   key.bottom = outcome.bottom;
   // Child outcomes arrive as canonical pool representatives (the
-  // engine normalizes them when deduplicating returning outputs).
+  // engine normalizes and interns them when deduplicating returning
+  // outputs), so both lookups are pool hits.
   key.iso = pool_->InternNormalized(outcome.iso);
   key.cell = pool_->InternCell(outcome.cell);
   auto it = outcome_index_.find(key);
@@ -96,8 +98,9 @@ int TaskVass::InternOutcome(ChildOutcome outcome) {
   int id = static_cast<int>(outcomes_.size());
   // Store the canonical (normalized) instance from the pool so every
   // consumer sees the interned representative.
-  outcome.iso = pool_->type(key.iso);
-  outcomes_.push_back(std::move(outcome));
+  ChildOutcome stored = outcome;
+  stored.iso = pool_->type(key.iso);
+  outcomes_.push_back(std::move(stored));
   outcome_index_.emplace(key, id);
   return id;
 }
@@ -168,42 +171,46 @@ std::vector<int> TaskVass::InitialStates() {
   return out;
 }
 
-TaskVass::PendingEdge* TaskVass::EmitPending(
-    const State& from, TypeId next_iso, CellId next_cell,
-    const std::vector<bool>& letter, const ServiceRef& service,
-    Assignment child_beta, const std::string& note,
-    PendingSuccessors* pending) {
-  PendingEdge pe;
-  pe.next_iso = next_iso;
-  pe.next_cell = next_cell;
-  pe.service = service;
-  pe.child_beta = child_beta;
-  pe.note = note;
-  for (int q2 : buchi_->successors(from.q)) {
-    if (buchi_->CompatibleWith(q2, letter)) pe.q2s.push_back(q2);
+void TaskVass::ApplyInsert(int relation, bool input_bound, TypeId ts,
+                           std::vector<int>* ib, Delta* delta) {
+  if (!input_bound) {
+    delta->emplace_back(DimOf(relation, ts), 1);
+    return;
   }
-  pending->edges.push_back(std::move(pe));
-  return &pending->edges.back();
+  int id = IbIdOf(relation, ts);
+  if (std::find(ib->begin(), ib->end(), id) == ib->end()) ib->push_back(id);
 }
 
-TaskVass::PendingEdge* TaskVass::EmitConfig(const State& from,
-                                            const SymbolicConfig& next,
-                                            const ServiceRef& service,
-                                            TaskId opened_child,
-                                            Assignment child_beta,
-                                            const std::string& note,
-                                            PendingSuccessors* pending) {
-  std::vector<bool> letter = MakeLetter(next, service, opened_child,
-                                        child_beta);
-  TypeId next_iso = InternIso(next.iso);
-  CellId next_cell = InternCell(next.cell);
-  return EmitPending(from, next_iso, next_cell, letter, service, child_beta,
-                     note, pending);
+void TaskVass::EmitEdges(const State& from, State target,
+                         const std::vector<bool>& letter, const Delta& delta,
+                         RecordKey rec, const std::string& note,
+                         std::vector<VassEdge>* out) {
+  for (int q2 : buchi_->successors(from.q)) {
+    if (!buchi_->CompatibleWith(q2, letter)) continue;
+    target.q = q2;
+    rec.target = InternState(target);
+    out->push_back(VassEdge{rec.target, delta, InternRecord(rec, note)});
+  }
+}
+
+void TaskVass::EmitConfig(const State& from, const SymbolicConfig& next,
+                          TaskId opened_child, std::vector<ChildStage> stages,
+                          const RecordKey& rec, const std::string& note,
+                          std::vector<VassEdge>* out) {
+  std::vector<bool> letter =
+      MakeLetter(next, rec.service, opened_child, rec.child_beta);
+  State target;
+  target.iso = InternIso(next.iso);
+  target.cell = InternCell(next.cell);
+  target.service = rec.service;
+  target.stages = std::move(stages);
+  target.ib_bits = from.ib_bits;
+  EmitEdges(from, std::move(target), letter, {}, rec, note, out);
 }
 
 void TaskVass::EmitAmple(const State& from, const SymbolicConfig& cur,
                          SuccessorMemo::ConfigEntry* config,
-                         PendingSuccessors* pending) {
+                         std::vector<VassEdge>* out) {
   const Task& task = ctx_->task();
   if (!config->ample_computed) {
     config->ample_computed = true;
@@ -232,107 +239,125 @@ void TaskVass::EmitAmple(const State& from, const SymbolicConfig& cur,
     }
   }
   for (const SuccessorMemo::AmpleService& ample : config->ample) {
-    std::vector<PendingEdge::PendingSetOp> ops;
-    ops.reserve(ample.ops.size());
-    for (const SuccessorMemo::AmpleOp& a : ample.ops) {
-      PendingEdge::PendingSetOp op;
-      op.relation = a.relation;
-      op.inserts = true;
-      op.insert_input_bound = a.input_bound;
-      op.insert_ts = a.ts;
-      ops.push_back(op);
+    // The identity stutter: same configuration, fresh child stages,
+    // counters and ib bits bumped by the inserts.
+    State target;
+    target.iso = from.iso;
+    target.cell = from.cell;
+    target.service = ServiceRef::Internal(ctx_->task_id(), ample.service);
+    target.stages.resize(task.children().size());
+    target.ib_bits = from.ib_bits;
+    Delta delta;
+    for (const SuccessorMemo::AmpleOp& op : ample.ops) {
+      ApplyInsert(op.relation, op.input_bound, op.ts, &target.ib_bits, &delta);
     }
-    PendingEdge* pe = EmitPending(
-        from, from.iso, from.cell, memo_->letter(ample.letter),
-        ServiceRef::Internal(ctx_->task_id(), ample.service), 0,
-        task.service(ample.service).name, pending);
-    pe->fresh_stages = true;
-    pe->set_ops = std::move(ops);
+    std::sort(target.ib_bits.begin(), target.ib_bits.end());
+    RecordKey rec;
+    rec.service = target.service;
+    EmitEdges(from, std::move(target), memo_->letter(ample.letter), delta,
+              rec, task.service(ample.service).name, out);
   }
 }
 
 void TaskVass::EmitService(const State& from, int svc,
                            const SymbolicConfig& cur,
                            SuccessorMemo::ConfigEntry* config,
-                           PendingSuccessors* pending) {
+                           std::vector<VassEdge>* out) {
   SuccessorMemo::ServiceEntry& entry = memo_->Service(config, svc, cur);
   if (!entry.pre) return;
-  pending->truncated = pending->truncated || entry.truncated;
-  const ServiceRef service = ServiceRef::Internal(ctx_->task_id(), svc);
-  const std::string& note = ctx_->task().service(svc).name;
+  truncated_ = truncated_ || entry.truncated;
+  const Task& task = ctx_->task();
+  RecordKey rec;
+  rec.service = ServiceRef::Internal(ctx_->task_id(), svc);
+  const std::string& note = task.service(svc).name;
   for (size_t si = 0; si < entry.succs.size(); ++si) {
-    std::vector<PendingEdge::PendingSetOp> ops;
-    ops.reserve(entry.set_ops.size());
+    // Read-only input-bound precheck, ahead of any ib-bit allocation:
+    // an input-bound retrieve can only succeed when the (relation,
+    // type) bit is already in the state's set, or when this same
+    // transition inserts the identical TS type into the same relation.
+    // Skipping here saves the letter/interning/Büchi work for
+    // infeasible successors and allocates no ib bit for them.
     bool feasible = true;
     int k = 0;
-    for (const SuccessorMemo::SetOp& skel : entry.set_ops) {
-      PendingEdge::PendingSetOp op;
-      op.relation = skel.relation;
-      op.inserts = skel.inserts;
-      op.insert_input_bound = skel.insert_input_bound;
-      op.insert_ts = skel.insert_ts;
-      if (skel.retrieves) {
-        const SuccessorMemo::Retrieve& ret = memo_->RetrieveOf(&entry, si, k++);
-        op.retrieves = true;
-        op.retrieve_input_bound = ret.input_bound;
-        op.retrieve_ts = ret.ts;
-        if (ret.input_bound) {
-          // Read-only feasibility precheck (ib-bit ALLOCATION stays in
-          // the commit): the retrieve can only succeed when the
-          // (relation, type) bit is already in the state's set, or when
-          // this same transition inserts the identical TS type into the
-          // same relation. Skipping here saves the letter/interning/
-          // Büchi work for successors the commit would drop anyway.
-          auto it = ib_index_.find(RelTypeKey(op.relation, op.retrieve_ts));
-          bool in_set = it != ib_index_.end() &&
-                        std::find(from.ib_bits.begin(), from.ib_bits.end(),
-                                  it->second) != from.ib_bits.end();
-          bool inserted_same = op.inserts && op.insert_input_bound &&
-                               op.insert_ts == op.retrieve_ts;
-          if (!in_set && !inserted_same) {
-            feasible = false;
-            break;
-          }
-        }
+    for (const SuccessorMemo::SetOp& op : entry.set_ops) {
+      if (!op.retrieves) continue;
+      const SuccessorMemo::Retrieve& ret = memo_->RetrieveOf(&entry, si, k++);
+      if (!ret.input_bound) continue;
+      auto it = ib_index_.find(RelTypeKey(op.relation, ret.ts));
+      bool in_set = it != ib_index_.end() &&
+                    std::find(from.ib_bits.begin(), from.ib_bits.end(),
+                              it->second) != from.ib_bits.end();
+      bool inserted_same =
+          op.inserts && op.insert_input_bound && op.insert_ts == ret.ts;
+      if (!in_set && !inserted_same) {
+        feasible = false;
+        break;
       }
-      ops.push_back(op);
     }
     if (!feasible) continue;
     if (entry.succs[si].next_iso == kNoTypeId) {
       memo_->InternNext(
           &entry, si,
-          MakeLetter(entry.raw[si]->next, service, kNoTask, 0));
+          MakeLetter(entry.raw[si]->next, rec.service, kNoTask, 0));
     }
     const SuccessorMemo::Successor& s = entry.succs[si];
-    PendingEdge* pe = EmitPending(from, s.next_iso, s.next_cell,
-                                  memo_->letter(s.letter), service, 0, note,
-                                  pending);
-    pe->fresh_stages = true;
-    pe->set_ops = std::move(ops);
+    // Resolve the relation updates to counter dimensions and ib bits:
+    // ascending relation index, inserts before retrieves within a
+    // relation, so dimension numbering follows emission order.
+    State target;
+    target.iso = s.next_iso;
+    target.cell = s.next_cell;
+    target.service = rec.service;
+    target.stages.resize(task.children().size());
+    target.ib_bits = from.ib_bits;
+    std::vector<int>& ib = target.ib_bits;
+    Delta delta;
+    k = 0;
+    for (const SuccessorMemo::SetOp& op : entry.set_ops) {
+      if (op.inserts) {
+        ApplyInsert(op.relation, op.insert_input_bound, op.insert_ts, &ib,
+                    &delta);
+      }
+      if (op.retrieves) {
+        const SuccessorMemo::Retrieve& ret =
+            memo_->RetrieveOf(&entry, si, k++);
+        if (ret.input_bound) {
+          // Present: the precheck above admitted this retrieve.
+          auto it = std::find(ib.begin(), ib.end(),
+                              IbIdOf(op.relation, ret.ts));
+          HAS_CHECK(it != ib.end());
+          ib.erase(it);
+        } else {
+          delta.emplace_back(DimOf(op.relation, ret.ts), -1);
+        }
+      }
+    }
+    std::sort(ib.begin(), ib.end());
+    EmitEdges(from, std::move(target), memo_->letter(s.letter), delta, rec,
+              note, out);
   }
 }
 
-void TaskVass::EnumerateSuccessors(int state, PendingSuccessors* pending) {
-  // Enumeration interns only into the shared pool (and, through child
-  // queries, into other products), never into states_, so the reference
-  // stays valid.
-  const State& snapshot = states_[state];
+int TaskVass::Successors(int state, std::vector<VassEdge>* out) {
+  // Copy: interning a target appends to states_.
+  const State from = states_[state];
   const Task& task = ctx_->task();
   // Returned states are absorbing.
-  if (snapshot.service.kind == ServiceRef::Kind::kClosing &&
-      snapshot.service.task == ctx_->task_id()) {
-    return;
+  if (from.service.kind == ServiceRef::Kind::kClosing &&
+      from.service.task == ctx_->task_id()) {
+    return 0;
   }
-  SymbolicConfig cur{pool_->type(snapshot.iso), pool_->cell(snapshot.cell)};
+  SymbolicConfig cur{pool_->type(from.iso), pool_->cell(from.cell)};
 
   bool any_active = false;
-  for (const ChildStage& st : snapshot.stages) {
+  for (const ChildStage& st : from.stages) {
     if (st.kind == ChildStage::Kind::kActive ||
         st.kind == ChildStage::Kind::kActiveBottom) {
       any_active = true;
     }
   }
 
+  int ample = 0;
   // (A) Internal services: all subtasks must have returned
   // (restriction 4).
   if (!any_active) {
@@ -349,38 +374,37 @@ void TaskVass::EnumerateSuccessors(int state, PendingSuccessors* pending) {
     // the ample prefix is ONE stutter edge per eligible service
     // (ascending service index), each constructed directly
     // (EnumerateInternal would bury it in the service's full cell
-    // fan-out); the committed prefix length is what AmplePrefix(state)
-    // reports, and the explorer expands only that prefix while at least
-    // one prefix edge makes progress — reaches a FRESH node
-    // (vass/karp_miller.cc). Keeping all eligible stutters matters:
-    // once one service's counters saturate to ω its stutter stops
-    // being fresh, and the remaining services' diagonals must keep the
-    // reduction alive. The full service list follows in natural order —
-    // ample services included — so a revert expands the state exactly
-    // as a POR-off build would (plus duplicate stutter edges that fold
-    // into their own nodes). States entered by an observed service
-    // expand fully — the stutter must not sit on a letter the property
-    // can see. Everything else the choice reads is part of the state's
+    // fan-out); its length is what Successors returns, and the
+    // explorer expands only that prefix while at least one prefix edge
+    // makes progress — reaches a FRESH node (vass/karp_miller.cc).
+    // Keeping all eligible stutters matters: once one service's
+    // counters saturate to ω its stutter stops being fresh, and the
+    // remaining services' diagonals must keep the reduction alive. The
+    // full service list follows in natural order — ample services
+    // included — so a revert expands the state exactly as a POR-off
+    // build would (plus duplicate stutter edges that fold into their
+    // own nodes). States entered by an observed service expand fully —
+    // the stutter must not sit on a letter the property can see.
+    // Everything else the choice reads is part of the state's
     // configuration, so the memo holds it per (type, cell) and the
     // choice is a pure function of the state.
-    SuccessorMemo::ConfigEntry* config =
-        &memo_->Config(snapshot.iso, snapshot.cell);
-    if (ctx_->options().por && !ctx_->PorServiceIsProp(snapshot.service)) {
-      EmitAmple(snapshot, cur, config, pending);
+    SuccessorMemo::ConfigEntry* config = &memo_->Config(from.iso, from.cell);
+    const size_t first = out->size();
+    if (ctx_->options().por && !ctx_->PorServiceIsProp(from.service)) {
+      EmitAmple(from, cur, config, out);
     }
     // If no Büchi successor is compatible with the stutter letter the
-    // prefix commits zero edges and AmplePrefix stays 0 — the state
-    // expands fully.
-    pending->ample_pending = static_cast<int>(pending->edges.size());
+    // prefix is empty — the state expands fully.
+    ample = static_cast<int>(out->size() - first);
     for (size_t i = 0; i < task.services().size(); ++i) {
-      EmitService(snapshot, static_cast<int>(i), cur, config, pending);
+      EmitService(from, static_cast<int>(i), cur, config, out);
     }
   }
 
   // (B) Open a child (at most once per segment). The oracle round-trip
   // is batched per child: one input interning covers every β_c.
   for (size_t c = 0; c < task.children().size(); ++c) {
-    if (snapshot.stages[c].kind != ChildStage::Kind::kInit) continue;
+    if (from.stages[c].kind != ChildStage::Kind::kInit) continue;
     TaskId child_id = task.children()[c];
     const Task& child = ctx_->system().task(child_id);
     if (ctx_->EvalSym(*child.opening_pre(), cur) != Truth::kTrue) continue;
@@ -391,51 +415,49 @@ void TaskVass::EnumerateSuccessors(int state, PendingSuccessors* pending) {
     RtOracle::BatchedChildResult batch = oracle_->QueryAll(
         child_id, child_in, child_in_cell,
         static_cast<Assignment>(num_assignments));
+    RecordKey rec;
+    rec.service = ServiceRef::Opening(child_id);
+    const std::string note = StrCat("open ", child.name());
+    const std::string bottom_note =
+        StrCat("open ", child.name(), " (non-returning)");
     for (Assignment bc = 0;
          bc < static_cast<Assignment>(num_assignments); ++bc) {
       const ChildResult& result = *batch.results[bc];
+      rec.child_beta = bc;
+      rec.child_key = batch.keys[bc];
+      std::vector<ChildStage> stages = from.stages;
       for (size_t oi = 0; oi < result.returning.size(); ++oi) {
-        PendingEdge* pe = EmitConfig(snapshot, cur,
-                                     ServiceRef::Opening(child_id),
-                                     child_id, bc,
-                                     StrCat("open ", child.name()),
-                                     pending);
-        pe->stage_child = static_cast<int>(c);
-        pe->stage_kind = ChildStage::Kind::kActive;
-        pe->outcome_src = &result.returning[oi];
-        pe->child_key = batch.keys[bc];
-        pe->child_result_index = static_cast<int>(oi);
+        stages[c] = ChildStage{ChildStage::Kind::kActive,
+                               InternOutcome(result.returning[oi]), bc};
+        rec.child_result_index = static_cast<int>(oi);
+        EmitConfig(from, cur, child_id, stages, rec, note, out);
       }
       if (result.has_bottom) {
-        PendingEdge* pe = EmitConfig(
-            snapshot, cur, ServiceRef::Opening(child_id), child_id, bc,
-            StrCat("open ", child.name(), " (non-returning)"),
-            pending);
-        pe->stage_child = static_cast<int>(c);
-        pe->stage_kind = ChildStage::Kind::kActiveBottom;
-        pe->child_key = batch.keys[bc];
-        pe->child_result_index = -1;
+        stages[c] = ChildStage{ChildStage::Kind::kActiveBottom, -1, bc};
+        rec.child_result_index = -1;
+        EmitConfig(from, cur, child_id, stages, rec, bottom_note, out);
       }
     }
   }
 
   // (C) Close an active (returning) child.
   for (size_t c = 0; c < task.children().size(); ++c) {
-    if (snapshot.stages[c].kind != ChildStage::Kind::kActive) continue;
+    if (from.stages[c].kind != ChildStage::Kind::kActive) continue;
     TaskId child_id = task.children()[c];
     const TaskContext* child_ctx = child_ctxs_->at(child_id);
-    const ChildOutcome& o = outcomes_[snapshot.stages[c].outcome];
+    const ChildOutcome& o = outcomes_[from.stages[c].outcome];
     bool truncated = false;
     std::vector<SymbolicConfig> nexts = ApplyChildReturn(
         *ctx_, *child_ctx, cur, o.iso, o.cell, &truncated);
-    pending->truncated = pending->truncated || truncated;
-    for (SymbolicConfig& next : nexts) {
-      PendingEdge* pe = EmitConfig(
-          snapshot, next, ServiceRef::Closing(child_id), kNoTask, 0,
-          StrCat("close ", ctx_->system().task(child_id).name()),
-          pending);
-      pe->stage_child = static_cast<int>(c);
-      pe->stage_kind = ChildStage::Kind::kClosed;
+    truncated_ = truncated_ || truncated;
+    std::vector<ChildStage> stages = from.stages;
+    stages[c] = ChildStage{ChildStage::Kind::kClosed, -1, from.stages[c].beta};
+    RecordKey rec;
+    rec.service = ServiceRef::Closing(child_id);
+    const std::string note =
+        StrCat("close ", ctx_->system().task(child_id).name());
+    for (const SymbolicConfig& next : nexts) {
+      EmitConfig(from, next, kNoTask, stages, rec, note, out);
     }
   }
 
@@ -443,109 +465,11 @@ void TaskVass::EnumerateSuccessors(int state, PendingSuccessors* pending) {
   // has returned).
   if (!any_active && !ctx_->task().is_root() &&
       ctx_->EvalSym(*task.closing_pre(), cur) == Truth::kTrue) {
-    EmitConfig(snapshot, cur, ServiceRef::Closing(ctx_->task_id()), kNoTask,
-               0, "close self", pending);
+    RecordKey rec;
+    rec.service = ServiceRef::Closing(ctx_->task_id());
+    EmitConfig(from, cur, kNoTask, from.stages, rec, "close self", out);
   }
-}
-
-void TaskVass::CommitSuccessors(int state, const PendingSuccessors& pending,
-                                std::vector<VassEdge>* out) {
-  truncated_ = truncated_ || pending.truncated;
-  // Copy: InternState below appends to states_.
-  const State snapshot = states_[state];
-  const Task& task = ctx_->task();
-  int ample_committed = 0;
-  for (size_t pi = 0; pi < pending.edges.size(); ++pi) {
-    const PendingEdge& pe = pending.edges[pi];
-    // Resolve artifact-relation bookkeeping to counter dimensions / ib
-    // bits. Allocation order (ascending relation index per edge,
-    // inserts before retrieves within a relation, pending-edge order
-    // across successors) matches the sequential enumeration, so
-    // dimension numbering is reproducible.
-    Delta delta;
-    std::vector<int> ib = snapshot.ib_bits;
-    bool feasible = true;
-    for (const PendingEdge::PendingSetOp& op : pe.set_ops) {
-      if (op.inserts) {
-        if (op.insert_input_bound) {
-          int id = IbIdOf(op.relation, op.insert_ts);
-          if (std::find(ib.begin(), ib.end(), id) == ib.end()) {
-            ib.push_back(id);
-          }
-        } else {
-          delta.emplace_back(DimOf(op.relation, op.insert_ts), 1);
-        }
-      }
-      if (op.retrieves) {
-        if (op.retrieve_input_bound) {
-          int id = IbIdOf(op.relation, op.retrieve_ts);
-          auto it = std::find(ib.begin(), ib.end(), id);
-          if (it == ib.end()) {
-            feasible = false;  // nothing of this type in the relation
-            break;
-          }
-          ib.erase(it);
-        } else {
-          delta.emplace_back(DimOf(op.relation, op.retrieve_ts), -1);
-        }
-      }
-    }
-    if (!feasible) continue;
-    std::vector<ChildStage> stages =
-        pe.fresh_stages ? std::vector<ChildStage>(task.children().size())
-                        : snapshot.stages;
-    if (!pe.fresh_stages && pe.stage_child >= 0) {
-      int outcome = -1;
-      Assignment beta = pe.child_beta;
-      if (pe.stage_kind == ChildStage::Kind::kActive) {
-        outcome = InternOutcome(*pe.outcome_src);
-      } else if (pe.stage_kind == ChildStage::Kind::kClosed) {
-        beta = snapshot.stages[pe.stage_child].beta;
-      }
-      stages[pe.stage_child] = ChildStage{pe.stage_kind, outcome, beta};
-    }
-    std::sort(ib.begin(), ib.end());
-    for (int q2 : pe.q2s) {
-      State s;
-      s.iso = pe.next_iso;
-      s.cell = pe.next_cell;
-      s.service = pe.service;
-      s.q = q2;
-      s.stages = stages;
-      s.ib_bits = ib;
-      int target = InternState(std::move(s));
-      TransitionRecord rec;
-      rec.service = pe.service;
-      rec.target_state = target;
-      rec.child_beta = pe.child_beta;
-      rec.child_key = pe.child_key;
-      rec.child_result_index = pe.child_result_index;
-      rec.note = pe.note;
-      out->push_back(VassEdge{target, delta, InternRecord(std::move(rec))});
-      if (pi < static_cast<size_t>(pending.ample_pending)) {
-        ++ample_committed;
-      }
-    }
-  }
-  // Record the ample-prefix length for AmplePrefix. The ample choice
-  // and its successor set are pure functions of the configuration, so a
-  // recommit after cache eviction reproduces the same count.
-  if (ample_prefix_.size() < states_.size()) {
-    ample_prefix_.resize(states_.size(), 0);
-  }
-  ample_prefix_[static_cast<size_t>(state)] = ample_committed;
-}
-
-void TaskVass::Successors(int state, std::vector<VassEdge>* out) {
-  PendingSuccessors pending;
-  EnumerateSuccessors(state, &pending);
-  CommitSuccessors(state, pending, out);
-}
-
-int TaskVass::AmplePrefix(int state) const {
-  return static_cast<size_t>(state) < ample_prefix_.size()
-             ? ample_prefix_[static_cast<size_t>(state)]
-             : 0;
+  return ample;
 }
 
 bool TaskVass::IsReturning(int state) const {

@@ -155,17 +155,13 @@ class TaskVass : public VassSystem {
   /// Builds and interns the initial states; returns their ids.
   std::vector<int> InitialStates();
 
-  /// Enumerates the symbolic successors of `state` (EnumerateSuccessors),
-  /// then interns their product states, counter dimensions and
-  /// transition records (CommitSuccessors). Interning makes a repeated
-  /// call reproduce the same edges and labels.
-  void Successors(int state, std::vector<VassEdge>* out) override;
-
-  /// Committed length of `state`'s ample prefix (0 = no reduction): the
-  /// leading edges produced by the ample services selected in
-  /// EnumerateSuccessors. A pure function of the state's configuration,
-  /// so recomputation after cache eviction reproduces the same value.
-  int AmplePrefix(int state) const override;
+  /// Enumerates the symbolic successors of `state` and interns each
+  /// edge's product state, counter dimensions and transition record as
+  /// it is emitted. Returns the ample-prefix length (0 = no reduction):
+  /// the leading edges produced by the POR ample services, a pure
+  /// function of the state's configuration. Interning makes a repeated
+  /// call reproduce the same edges, labels and prefix length.
+  int Successors(int state, std::vector<VassEdge>* out) override;
 
   // --- state inspection (used by the RT computation) -------------------
   int num_states() const { return static_cast<int>(states_.size()); }
@@ -178,6 +174,7 @@ class TaskVass : public VassSystem {
   const TransitionRecord& record(int64_t label) const {
     return records_[static_cast<size_t>(label)];
   }
+  size_t num_records() const { return records_.size(); }
   const PartialIsoType& state_iso(int state) const;
   ServiceRef state_service(int state) const {
     return states_[state].service;
@@ -248,10 +245,12 @@ class TaskVass : public VassSystem {
 
   /// Identity of a TransitionRecord: everything decoding needs. The
   /// note string is derived from the service identity, so it is not
-  /// part of the key. Records are interned so that a successor
-  /// recomputation (after the explorer's bounded cache evicted a
-  /// state's edge list) reproduces the ORIGINAL labels — Successors is
-  /// idempotent and the graph stays schedule- and eviction-independent.
+  /// part of the key. Records are interned to save memory: the same
+  /// (service, target, child query) recurs from many source states
+  /// (one default Verify of MakeMultiRelation(3, 2, 3) makes 263,054
+  /// record interns that collapse to 2,022 records). Interning also
+  /// keeps Successors idempotent: a second explorer over the same
+  /// product gets the original labels back.
   struct RecordKey {
     ServiceRef service;
     int target = -1;
@@ -281,8 +280,9 @@ class TaskVass : public VassSystem {
   TypeId InternIso(const PartialIsoType& iso);
   CellId InternCell(const Cell& cell);
   int InternState(State s);
-  /// Label of the transition record (allocating on first sight).
-  int64_t InternRecord(TransitionRecord rec);
+  /// Label of the transition record `key` (allocating, with `note`, on
+  /// first sight).
+  int64_t InternRecord(const RecordKey& key, const std::string& note);
   /// A (relation, TS-type) key: the SAME normalized projection arising
   /// for two different relations must map to two different counter
   /// dimensions / ib bits — tuples of S_T,i and S_T,j are never
@@ -297,89 +297,41 @@ class TaskVass : public VassSystem {
   /// Input-bound bit id of a (relation, TS-type) (allocating on first
   /// sight).
   int IbIdOf(int relation, TypeId ts);
-  int InternOutcome(ChildOutcome outcome);
+  int InternOutcome(const ChildOutcome& outcome);
+  /// An insert of TS-type `ts` into `relation`: sets its ib bit in `ib`
+  /// (input-bound types) or adds one to its counter dimension in
+  /// `delta`.
+  void ApplyInsert(int relation, bool input_bound, TypeId ts,
+                   std::vector<int>* ib, Delta* delta);
 
   /// Letter of a configuration for the Büchi product.
   std::vector<bool> MakeLetter(const SymbolicConfig& config,
                                const ServiceRef& service, TaskId opened_child,
                                Assignment child_beta) const;
 
-  /// One enumerated (not yet committed) product transition: the target
-  /// configuration is already pool-interned and the Büchi-compatible
-  /// successor states are precomputed; everything that allocates
-  /// product-local ids (counter dimensions, ib bits, outcomes, states,
-  /// records) is deferred to the commit.
-  struct PendingEdge {
-    TypeId next_iso = kNoTypeId;
-    CellId next_cell = kNoCellId;
-    ServiceRef service;
-    Assignment child_beta = 0;
-    std::vector<int> q2s;  ///< compatible Büchi successors of from.q
-    /// Artifact-relation bookkeeping ((A) transitions), one entry per
-    /// relation the service updates (ascending relation index),
-    /// resolved to counter dimensions / ib bits at commit time.
-    struct PendingSetOp {
-      int relation = 0;
-      bool inserts = false;
-      bool insert_input_bound = false;
-      TypeId insert_ts = kNoTypeId;
-      bool retrieves = false;
-      bool retrieve_input_bound = false;
-      TypeId retrieve_ts = kNoTypeId;
-    };
-    std::vector<PendingSetOp> set_ops;
-    /// Child-stage rewrite: (A) resets all stages, (B)/(C) rewrite one
-    /// child's stage; a kActive outcome is interned at commit from
-    /// `outcome_src` (a pointer into the oracle's immutable result).
-    bool fresh_stages = false;
-    int stage_child = -1;
-    ChildStage::Kind stage_kind = ChildStage::Kind::kInit;
-    const ChildOutcome* outcome_src = nullptr;
-    RtQueryKey child_key;
-    int child_result_index = -1;
-    std::string note;
-  };
-  struct PendingSuccessors {
-    std::vector<PendingEdge> edges;
-    bool truncated = false;
-    /// Count of LEADING edges that are ample identity stutters, one
-    /// per eligible service (0 = no ample set selected — the state
-    /// expands fully).
-    int ample_pending = 0;
-  };
-
-  /// The expensive symbolic half of Successors: successor enumeration
-  /// (read from the SuccessorMemo), child-oracle queries and pool
-  /// interning. Allocates no product-local ids.
-  void EnumerateSuccessors(int state, PendingSuccessors* pending);
-  /// The ample stutters of `from` (POR; see EnumerateSuccessors).
+  /// The ample stutters of `from` (POR; see Successors).
   void EmitAmple(const State& from, const SymbolicConfig& cur,
                  SuccessorMemo::ConfigEntry* config,
-                 PendingSuccessors* pending);
+                 std::vector<VassEdge>* out);
   /// Every successor of internal service `svc` at `from`.
   void EmitService(const State& from, int svc, const SymbolicConfig& cur,
                    SuccessorMemo::ConfigEntry* config,
-                   PendingSuccessors* pending);
-  /// The cheap half: state/dimension/ib-bit/outcome/record interning,
-  /// in pending-edge order, so product-local numbering is reproducible.
-  void CommitSuccessors(int state, const PendingSuccessors& pending,
-                        std::vector<VassEdge>* out);
-
-  /// Appends a PendingEdge for the transition into the interned
-  /// (next_iso, next_cell) with Büchi letter `letter` (computing the
-  /// compatible Büchi successors); the caller fills in the
-  /// transition-specific bookkeeping on the returned edge.
-  PendingEdge* EmitPending(const State& from, TypeId next_iso,
-                           CellId next_cell, const std::vector<bool>& letter,
-                           const ServiceRef& service, Assignment child_beta,
-                           const std::string& note,
-                           PendingSuccessors* pending);
-  /// EmitPending for a raw configuration: computes its letter and
-  /// interns it.
-  PendingEdge* EmitConfig(const State& from, const SymbolicConfig& next,
-                          const ServiceRef& service, TaskId opened_child,
-                          Assignment child_beta, const std::string& note,
-                          PendingSuccessors* pending);
+                   std::vector<VassEdge>* out);
+  /// Appends one edge per Büchi successor q2 of from.q compatible with
+  /// `letter`: it targets the interned `target` with q = q2, adds
+  /// `delta` to the counters and carries the interned record `rec`
+  /// with that target.
+  void EmitEdges(const State& from, State target,
+                 const std::vector<bool>& letter, const Delta& delta,
+                 RecordKey rec, const std::string& note,
+                 std::vector<VassEdge>* out);
+  /// EmitEdges into configuration `next` (its letter computed and the
+  /// configuration interned here) with child stages `stages`, keeping
+  /// `from`'s input-bound bits and the counters.
+  void EmitConfig(const State& from, const SymbolicConfig& next,
+                  TaskId opened_child, std::vector<ChildStage> stages,
+                  const RecordKey& rec, const std::string& note,
+                  std::vector<VassEdge>* out);
 
   const TaskContext* ctx_;
   const std::map<TaskId, const TaskContext*>* child_ctxs_;
@@ -421,9 +373,6 @@ class TaskVass : public VassSystem {
   std::unordered_map<OutcomeKey, int, OutcomeKeyHash> outcome_index_;
   std::vector<TransitionRecord> records_;
   std::unordered_map<RecordKey, int64_t, RecordKeyHash> record_index_;
-  /// Per-state committed ample-prefix length (AmplePrefix); indexed by
-  /// state id, lazily grown in CommitSuccessors.
-  std::vector<int> ample_prefix_;
   bool truncated_ = false;
 };
 

@@ -112,28 +112,15 @@ void KarpMiller::AntichainAbsorb(int node) {
       std::max(antichain_buckets_peak_, index.num_buckets());
 }
 
-const std::vector<VassEdge>& KarpMiller::CachedSuccessors(int state) {
-  auto it = succ_cache_.find(state);
-  if (it != succ_cache_.end()) {
+const KarpMiller::StateSuccessors& KarpMiller::SuccessorsOf(int state) {
+  auto [it, inserted] = succs_.try_emplace(state);
+  if (!inserted) {
     ++cache_hits_;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return it->second.edges;
+    return it->second;
   }
   ++cache_misses_;
-  CacheEntry entry;
-  system_->Successors(state, &entry.edges);
-  lru_.push_front(state);
-  entry.lru_pos = lru_.begin();
-  it = succ_cache_.emplace(state, std::move(entry)).first;
-  // Evict least-recently-used entries beyond the cap. The new entry sits
-  // at the LRU front, so it survives the step that needs it even at
-  // capacity 0.
-  const size_t cap = std::max<size_t>(options_.succ_cache_capacity, 1);
-  while (succ_cache_.size() > cap) {
-    succ_cache_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  return it->second.edges;
+  it->second.ample = system_->Successors(state, &it->second.edges);
+  return it->second;
 }
 
 void KarpMiller::Build(const std::vector<int>& initial_states) {
@@ -193,9 +180,8 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
       }
       if (deactivated_[static_cast<size_t>(n)]) continue;
     }
-    const int state = nodes_[n].state;
-    // Valid for the whole expansion: only the next lookup can evict it.
-    const std::vector<VassEdge>& out = CachedSuccessors(state);
+    const StateSuccessors& succ = SuccessorsOf(nodes_[n].state);
+    const std::vector<VassEdge>& out = succ.edges;
     // Ample-prefix partial-order reduction (options_.por): expand only
     // the leading `ample` edges, and only if at least one of them lands
     // on a FRESH node — a folded stutter is covered by its dominator,
@@ -209,11 +195,9 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
     // prefix that already spans every edge reduces nothing, so it is
     // treated as 0.
     size_t ample = 0;
-    if (options_.por) {
-      int a = system_->AmplePrefix(state);
-      if (a > 0 && static_cast<size_t>(a) < out.size()) {
-        ample = static_cast<size_t>(a);
-      }
+    if (options_.por && succ.ample > 0 &&
+        static_cast<size_t>(succ.ample) < out.size()) {
+      ample = static_cast<size_t>(succ.ample);
     }
     bool ample_active = ample > 0;
     bool ample_fresh = false;
@@ -232,8 +216,8 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
       const VassEdge& e = out[i];
       if (!SuccessorMarking(n, e.target, e.delta, &next)) {
         // A disabled prefix edge (impossible for insert-only stutters
-        // by the AmplePrefix contract) simply contributes no fresh
-        // node.
+        // by the VassSystem::Successors contract) simply contributes no
+        // fresh node.
         continue;
       }
       if (prune) {

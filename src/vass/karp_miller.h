@@ -31,7 +31,6 @@
 #define HAS_VASS_KARP_MILLER_H_
 
 #include <functional>
-#include <list>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -46,15 +45,6 @@ namespace has {
 struct KarpMillerOptions {
   /// Hard cap on coverability-graph nodes; exceeded => truncated().
   size_t max_nodes = 1 << 18;
-  /// Bound on the successor cache (distinct VASS states kept); least-
-  /// recently-used entries beyond the cap are evicted, except the entry
-  /// inserted for the node being expanded, which survives its own step
-  /// (so capacity 0 behaves like capacity 1). Eviction never changes
-  /// the produced graph — systems must make successor recomputation
-  /// idempotent (TaskVass interns its transition records, so
-  /// recomputations reproduce the original labels) — only the hit/miss
-  /// counts.
-  size_t succ_cache_capacity = 1 << 14;
   /// Antichain subsumption pruning (minimal-coverability-set style, à
   /// la Reynier–Servais): a successor whose marking is ≤ an active
   /// node's marking (same VASS state, ω-aware compare) is dropped
@@ -72,7 +62,7 @@ struct KarpMillerOptions {
   /// newcomers of the round being expanded are cut.
   bool prune_coverability = false;
   /// Ample-prefix partial-order reduction: when the system reports a
-  /// positive AmplePrefix(state) (see VassSystem::AmplePrefix), expand
+  /// positive ample prefix for a state (VassSystem::Successors), expand
   /// only those leading edges of the state — PROVIDED at least one
   /// prefix edge makes PROGRESS: it lands on a fresh node, or folds
   /// into an antichain entry whose marking is STRICTLY larger than the
@@ -145,7 +135,9 @@ class KarpMiller {
 
   /// Statistics for the benchmark harness.
   size_t TotalEdges() const;
-  /// Successor-cache accounting: one hit or miss per processed node.
+  /// Successor-list accounting: one hit or miss per processed node. A
+  /// miss is the first expansion of a VASS state (the one
+  /// VassSystem::Successors call for it); a hit reuses the kept list.
   size_t succ_cache_hits() const { return cache_hits_; }
   size_t succ_cache_misses() const { return cache_misses_; }
 
@@ -216,10 +208,11 @@ class KarpMiller {
   /// flat integer mix with no serialization.
   using NodeKey = std::pair<int, std::vector<int64_t>>;
 
-  /// Bounded LRU successor cache entry.
-  struct CacheEntry {
+  /// A VASS state's successor edges and ample-prefix length, as the
+  /// system returned them.
+  struct StateSuccessors {
     std::vector<VassEdge> edges;
-    std::list<int>::iterator lru_pos;
+    int ample = 0;
   };
 
   int InternNode(int state, const std::vector<int64_t>& marking, int parent,
@@ -232,11 +225,12 @@ class KarpMiller {
   bool SuccessorMarking(int parent_node, int target, const Delta& delta,
                         std::vector<int64_t>* out) const;
 
-  /// `state`'s successor edges, from the cache or (on a miss) from the
-  /// system. A miss evicts least-recently-used entries beyond the cap,
-  /// never the one it just inserted. The reference stays valid until
-  /// the next call.
-  const std::vector<VassEdge>& CachedSuccessors(int state);
+  /// `state`'s successors: asked of the system on the state's first
+  /// expansion and kept for the life of the graph (the kept lists are
+  /// bounded by max_nodes, since every kept state is the state of an
+  /// expanded node). The reference stays valid for the graph's
+  /// lifetime.
+  const StateSuccessors& SuccessorsOf(int state);
 
   /// MINIMUM-id active antichain node of `state` whose marking
   /// dominates `marking` (ω-aware, 0-padded compare); -1 if none. The
@@ -262,8 +256,7 @@ class KarpMiller {
   /// antichain probes walk together).
   MarkingArena marking_arena_;
   std::unordered_map<NodeKey, int, IdVectorHash> index_;
-  std::unordered_map<int, CacheEntry> succ_cache_;
-  std::list<int> lru_;  // front = most recently used state
+  std::unordered_map<int, StateSuccessors> succs_;
   size_t cache_hits_ = 0;
   size_t cache_misses_ = 0;
   bool truncated_ = false;

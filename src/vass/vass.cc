@@ -17,8 +17,9 @@ int64_t ExplicitVass::AddAction(int from, Delta delta, int to) {
   return label;
 }
 
-void ExplicitVass::Successors(int state, std::vector<VassEdge>* out) {
+int ExplicitVass::Successors(int state, std::vector<VassEdge>* out) {
   out->insert(out->end(), adj_[state].begin(), adj_[state].end());
+  return 0;
 }
 
 }  // namespace has

@@ -34,25 +34,22 @@ struct VassEdge {
 class VassSystem {
  public:
   virtual ~VassSystem() = default;
-  /// Appends the outgoing edges of `state` to `out`. The explorer may
-  /// ask again for a state whose cached edges it evicted, so repeated
-  /// calls must return the same edges (labels included).
-  virtual void Successors(int state, std::vector<VassEdge>* out) = 0;
-
-  /// Partial-order reduction hook: the number of LEADING edges of
-  /// `state`'s successor list that form a valid ample prefix — the
-  /// explorer may expand only those edges as long as at least one of
-  /// them makes progress (see KarpMillerOptions::por). 0 means no
-  /// reduction. Contract: the value is a pure function of `state`
-  /// (never of markings or arrival order) and idempotent across
-  /// successor recomputations, and every prefix edge has a non-negative
-  /// delta (it can never be marking-disabled) and targets a real
-  /// successor — the reduced graph is a subgraph of the full one's
-  /// closure under the prefix transitions.
-  virtual int AmplePrefix(int state) const {
-    (void)state;
-    return 0;
-  }
+  /// Appends the outgoing edges of `state` to `out` and returns the
+  /// length of their AMPLE PREFIX for partial-order reduction: the
+  /// number of leading appended edges the explorer may expand in place
+  /// of all of them, as long as at least one makes progress (see
+  /// KarpMillerOptions::por). 0 means no reduction. Contract: every
+  /// prefix edge has a non-negative delta (it can never be
+  /// marking-disabled) and targets a real successor, so the reduced
+  /// graph is a subgraph of the full one's closure under the prefix
+  /// transitions; the prefix length is a pure function of `state`
+  /// (never of markings or arrival order).
+  ///
+  /// An explorer asks once per state and keeps the answer for the life
+  /// of its graph. A second explorer over the same system asks again,
+  /// so repeated calls must return the same edges (labels included)
+  /// and the same prefix length.
+  virtual int Successors(int state, std::vector<VassEdge>* out) = 0;
 };
 
 /// Explicit VASS for tests and examples.
@@ -69,7 +66,8 @@ class ExplicitVass : public VassSystem {
   /// Adds an action (from, delta, to); returns its label.
   int64_t AddAction(int from, Delta delta, int to);
 
-  void Successors(int state, std::vector<VassEdge>* out) override;
+  /// No partial-order reduction: always returns 0.
+  int Successors(int state, std::vector<VassEdge>* out) override;
 
  private:
   std::vector<std::vector<VassEdge>> adj_;

@@ -9,8 +9,6 @@
 // example specs (mirroring tests/por_test.cc's POR gate).
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +19,7 @@
 #include "core/verifier.h"
 #include "spec/parser.h"
 #include "spec/printer.h"
+#include "spec_file.h"
 #include "workloads.h"
 
 namespace has {
@@ -59,20 +58,6 @@ bool HasDiag(const std::vector<Diagnostic>& diags, const char* code,
     }
   }
   return false;
-}
-
-std::string LoadSpec(const std::string& name) {
-  for (const std::string& prefix :
-       {std::string("examples/specs/"), std::string("../examples/specs/"),
-        std::string("../../examples/specs/")}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream out;
-      out << in.rdbuf();
-      return out.str();
-    }
-  }
-  return "";
 }
 
 /// Slicing on vs. off must agree on the verdict. Returns the slice-off
@@ -361,8 +346,8 @@ TEST(AnalyzerTest, VacuousAtomsBothDirections) {
 // --- lint_demo spec: every code, with locations ------------------------
 
 TEST(AnalyzerTest, LintDemoExercisesEveryCodeWithLocations) {
-  std::string text = LoadSpec("lint_demo.has");
-  ASSERT_FALSE(text.empty()) << "lint_demo.has not found";
+  std::string text = testing::LoadSpec("lint_demo.has");
+  ASSERT_FALSE(text.empty());
   auto parsed = ParseSpec(text, "examples/specs/lint_demo.has");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   std::vector<std::pair<std::string, const HltlProperty*>> props;
@@ -390,8 +375,8 @@ TEST(AnalyzerTest, LintDemoExercisesEveryCodeWithLocations) {
 TEST(AnalyzerTest, PrintParseAnalyzeRoundTrip) {
   // PrintSystemSource must reconstruct a system the analyzer judges
   // identically — name-for-name, message-for-message (locations aside).
-  std::string text = LoadSpec("lint_demo.has");
-  ASSERT_FALSE(text.empty()) << "lint_demo.has not found";
+  std::string text = testing::LoadSpec("lint_demo.has");
+  ASSERT_FALSE(text.empty());
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   std::vector<std::pair<std::string, const HltlProperty*>> props;
@@ -462,8 +447,8 @@ TEST(SliceTest, KeepsTupleVariableFeedingPropertyThroughRetrieve) {
 }
 
 TEST(SliceTest, MultirelSpecPlanDropsOnlyInvisibleRelations) {
-  std::string text = LoadSpec("multirel.has");
-  ASSERT_FALSE(text.empty()) << "multirel.has not found";
+  std::string text = testing::LoadSpec("multirel.has");
+  ASSERT_FALSE(text.empty());
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const HltlProperty* p = parsed->FindProperty("orders_drain");
@@ -478,8 +463,8 @@ TEST(SliceTest, MultirelSpecPlanDropsOnlyInvisibleRelations) {
 }
 
 TEST(SliceTest, LintDemoCountersAndReducedDims) {
-  std::string text = LoadSpec("lint_demo.has");
-  ASSERT_FALSE(text.empty()) << "lint_demo.has not found";
+  std::string text = testing::LoadSpec("lint_demo.has");
+  ASSERT_FALSE(text.empty());
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const HltlProperty* p = parsed->FindProperty("demo");
@@ -579,8 +564,8 @@ TEST(SliceEquivalenceTest, CommutingServices) {
 }
 
 TEST(SliceEquivalenceTest, TravelMiniSpec) {
-  std::string text = LoadSpec("travel_mini.has");
-  ASSERT_FALSE(text.empty()) << "travel_mini.has not found";
+  std::string text = testing::LoadSpec("travel_mini.has");
+  ASSERT_FALSE(text.empty());
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const HltlProperty* policy = parsed->FindProperty("discount_policy");
@@ -592,8 +577,8 @@ TEST(SliceEquivalenceTest, TravelMiniSpec) {
 }
 
 TEST(SliceEquivalenceTest, MultiRelationSpec) {
-  std::string text = LoadSpec("multirel.has");
-  ASSERT_FALSE(text.empty()) << "multirel.has not found";
+  std::string text = testing::LoadSpec("multirel.has");
+  ASSERT_FALSE(text.empty());
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const HltlProperty* p = parsed->FindProperty("orders_drain");
@@ -604,8 +589,8 @@ TEST(SliceEquivalenceTest, MultiRelationSpec) {
 TEST(SliceEquivalenceTest, LintDemoSpec) {
   // The heaviest slice of any committed spec (5 services, 2 relations,
   // 1 variable dropped) must still be verdict-preserving.
-  std::string text = LoadSpec("lint_demo.has");
-  ASSERT_FALSE(text.empty()) << "lint_demo.has not found";
+  std::string text = testing::LoadSpec("lint_demo.has");
+  ASSERT_FALSE(text.empty());
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const HltlProperty* p = parsed->FindProperty("demo");

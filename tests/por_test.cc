@@ -7,12 +7,10 @@
 // reduction's eligibility test is built on.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
-
 #include "core/verifier.h"
 #include "model/independence.h"
 #include "spec/parser.h"
+#include "spec_file.h"
 #include "workloads.h"
 
 namespace has {
@@ -102,23 +100,9 @@ TEST(PorEquivalenceTest, CommutingServicesReduces) {
   EXPECT_LT(reduced.stats.cov_edges, full.stats.cov_edges);
 }
 
-std::string LoadSpec(const std::string& name) {
-  for (const std::string& prefix :
-       {std::string("examples/specs/"), std::string("../examples/specs/"),
-        std::string("../../examples/specs/")}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream out;
-      out << in.rdbuf();
-      return out.str();
-    }
-  }
-  return "";
-}
-
 TEST(PorEquivalenceTest, TravelMiniSpec) {
-  std::string text = LoadSpec("travel_mini.has");
-  ASSERT_FALSE(text.empty()) << "travel_mini.has not found";
+  std::string text = testing::LoadSpec("travel_mini.has");
+  ASSERT_FALSE(text.empty());
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const HltlProperty* policy = parsed->FindProperty("discount_policy");
@@ -132,8 +116,8 @@ TEST(PorEquivalenceTest, MultiRelationSpec) {
   // A parsed spec with retrieve services and a service-observing
   // property: most services are POR-ineligible here, so this guards
   // the "reduction must not fire where it is unsound" side.
-  std::string text = LoadSpec("multirel.has");
-  ASSERT_FALSE(text.empty()) << "multirel.has not found";
+  std::string text = testing::LoadSpec("multirel.has");
+  ASSERT_FALSE(text.empty());
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const HltlProperty* p = parsed->FindProperty("orders_drain");

@@ -9,13 +9,12 @@
 // (strictly fewer nodes on subsumption-heavy systems).
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include "builders.h"
 #include "core/verifier.h"
 #include "spec/parser.h"
+#include "spec_file.h"
 #include "vass/karp_miller.h"
 #include "workloads.h"
 
@@ -227,23 +226,9 @@ TEST(PruningCrossValidation, MultiRelation) {
   ExpectPruningEquivalence(w.system, w.property, w.name);
 }
 
-std::string LoadSpec(const std::string& name) {
-  for (const std::string& prefix :
-       {std::string("examples/specs/"), std::string("../examples/specs/"),
-        std::string("../../examples/specs/")}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream out;
-      out << in.rdbuf();
-      return out.str();
-    }
-  }
-  return "";
-}
-
 TEST(PruningCrossValidation, TravelMini) {
-  std::string text = LoadSpec("travel_mini.has");
-  ASSERT_FALSE(text.empty()) << "travel_mini.has not found";
+  std::string text = testing::LoadSpec("travel_mini.has");
+  ASSERT_FALSE(text.empty());
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   VerifierOptions base;

@@ -1,14 +1,16 @@
-// Edge cases of the explorer's bounded LRU successor cache
-// (KarpMillerOptions::succ_cache_capacity): a capacity of 1, the rule
-// that the entry inserted for the node being expanded survives its own
-// step, the hit/miss counter accounting contract (exactly one hit or
-// miss per processed coverability node), and end-to-end verification
-// with an evicting cache.
+// The explorer's per-state successor lists: KarpMiller asks the system
+// for a VASS state's successors once, on the state's first expansion,
+// and keeps the edges and ample-prefix length for the life of the
+// graph. Covers the one-call-per-state-per-explorer rule, the hit/miss
+// accounting contract (exactly one hit or miss per processed
+// coverability node), and the ample-prefix progress rule (C3) on a
+// small explicit system.
 #include <gtest/gtest.h>
 
-#include "core/verifier.h"
+#include <map>
+#include <set>
+
 #include "vass/karp_miller.h"
-#include "workloads.h"
 
 namespace has {
 namespace {
@@ -26,117 +28,131 @@ ExplicitVass FanVass() {
   return v;
 }
 
-void ExpectSameGraph(const KarpMiller& a, const KarpMiller& b) {
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  for (int n = 0; n < a.num_nodes(); ++n) {
-    EXPECT_EQ(a.node_state(n), b.node_state(n)) << n;
-    EXPECT_EQ(a.node_marking(n), b.node_marking(n)) << n;
-    EXPECT_EQ(a.node_parent(n), b.node_parent(n)) << n;
-    ASSERT_EQ(a.edges(n).size(), b.edges(n).size()) << n;
-    for (size_t i = 0; i < a.edges(n).size(); ++i) {
-      EXPECT_EQ(a.edges(n)[i].target, b.edges(n)[i].target) << n;
-      EXPECT_EQ(a.edges(n)[i].label, b.edges(n)[i].label) << n;
-    }
+/// Forwards to an inner system and counts Successors calls per state.
+class CountingVass : public VassSystem {
+ public:
+  explicit CountingVass(VassSystem* inner) : inner_(inner) {}
+  int Successors(int state, std::vector<VassEdge>* out) override {
+    ++calls[state];
+    return inner_->Successors(state, out);
   }
+  std::map<int, int> calls;
+
+ private:
+  VassSystem* inner_;
+};
+
+/// An explicit system whose states report a fixed ample-prefix length.
+class AmpleVass : public VassSystem {
+ public:
+  AmpleVass(ExplicitVass vass, std::map<int, int> ample)
+      : vass_(std::move(vass)), ample_(std::move(ample)) {}
+  int Successors(int state, std::vector<VassEdge>* out) override {
+    vass_.Successors(state, out);
+    auto it = ample_.find(state);
+    return it == ample_.end() ? 0 : it->second;
+  }
+
+ private:
+  ExplicitVass vass_;
+  std::map<int, int> ample_;
+};
+
+std::set<int> ReachedStates(const KarpMiller& g) {
+  std::set<int> states;
+  for (int n = 0; n < g.num_nodes(); ++n) states.insert(g.node_state(n));
+  return states;
 }
 
-TEST(SuccCacheTest, CapacityOneProducesTheSameGraph) {
-  ExplicitVass v1 = FanVass();
-  KarpMiller unbounded(&v1, {});
-  unbounded.Build({0});
-  ExplicitVass v2 = FanVass();
-  KarpMillerOptions options;
-  options.succ_cache_capacity = 1;
-  KarpMiller tiny(&v2, options);
-  tiny.Build({0});
-  ExpectSameGraph(unbounded, tiny);
+TEST(SuccCacheTest, OneSuccessorsCallPerStatePerExplorer) {
+  // FanVass revisits states 1 and 3: four first expansions (misses)
+  // and three reuses (hits), and the system sees one call per state.
+  // A second explorer over the same system asks each state once more.
+  for (bool prune : {false, true}) {
+    ExplicitVass v = FanVass();
+    CountingVass counting(&v);
+    KarpMillerOptions options;
+    options.prune_coverability = prune;
+    KarpMiller g(&counting, options);
+    g.Build({0});
+    ASSERT_EQ(g.num_nodes(), 7) << "prune=" << prune;
+    EXPECT_EQ(g.succ_cache_misses(), 4u) << "prune=" << prune;
+    EXPECT_EQ(g.succ_cache_hits(), 3u) << "prune=" << prune;
+    EXPECT_EQ(counting.calls,
+              (std::map<int, int>{{0, 1}, {1, 1}, {2, 1}, {3, 1}}))
+        << "prune=" << prune;
+    KarpMiller again(&counting, options);
+    again.Build({0});
+    EXPECT_EQ(counting.calls,
+              (std::map<int, int>{{0, 2}, {1, 2}, {2, 2}, {3, 2}}))
+        << "prune=" << prune;
+  }
 }
 
 TEST(SuccCacheTest, OneHitOrMissPerProcessedNode) {
   // The accounting contract: every processed (expanded) node charges
-  // exactly one hit or one miss, regardless of capacity.
-  for (size_t capacity : {size_t{1}, size_t{2}, size_t{1} << 14}) {
-    ExplicitVass v = FanVass();
-    KarpMillerOptions options;
-    options.succ_cache_capacity = capacity;
-    KarpMiller g(&v, options);
-    g.Build({0});
-    EXPECT_EQ(g.succ_cache_hits() + g.succ_cache_misses(),
-              static_cast<size_t>(g.num_nodes()))
-        << "capacity=" << capacity;
-  }
-}
-
-TEST(SuccCacheTest, CurrentStepEntrySurvivesCapacityOne) {
-  // A miss inserts the expanded node's entry and then evicts down to
-  // the cap, never the new entry: at capacity 1 (and at capacity 0,
-  // which behaves the same) the cache always holds the last state
-  // expanded. On the sequence [0, 1, 2, 1, 3, 3, 3] that is five misses
-  // and two hits — the repeated state 3 hits because its entry
-  // survived the step that inserted it. An unbounded cache also hits
-  // on the second visit of state 1.
-  for (size_t capacity : {size_t{0}, size_t{1}}) {
-    ExplicitVass v = FanVass();
-    KarpMillerOptions options;
-    options.succ_cache_capacity = capacity;
-    KarpMiller g(&v, options);
-    g.Build({0});
-    ASSERT_EQ(g.num_nodes(), 7) << "capacity=" << capacity;
-    EXPECT_EQ(g.succ_cache_misses(), 5u) << "capacity=" << capacity;
-    EXPECT_EQ(g.succ_cache_hits(), 2u) << "capacity=" << capacity;
-  }
+  // exactly one hit or one miss.
   ExplicitVass v = FanVass();
-  KarpMiller big(&v, {});
-  big.Build({0});
-  EXPECT_EQ(big.succ_cache_misses(), 4u);
-  EXPECT_EQ(big.succ_cache_hits(), 3u);
+  KarpMiller g(&v, {});
+  g.Build({0});
+  EXPECT_EQ(g.succ_cache_hits() + g.succ_cache_misses(),
+            static_cast<size_t>(g.num_nodes()));
 }
 
-TEST(SuccCacheTest, OlderEntriesEvictAtCapacityOne) {
-  // Revisiting a state expanded in an EARLIER step must re-miss at
-  // capacity 1 (its entry was evicted), while an unbounded cache hits.
-  // Chain: s0 -> s1 -> s2 -> s1' where s1' re-enters state 1 with a
-  // bigger marking (distinct node, same VASS state).
-  ExplicitVass v(3);
+/// State 0 has a one-edge ample prefix, an insert-only self-loop
+/// stutter, followed by the deferred transition to state 1.
+AmpleVass StutterVass() {
+  ExplicitVass v(2);
+  v.AddAction(0, {{0, +1}}, 0);  // stutter: the ample prefix
+  v.AddAction(0, {{1, +1}}, 1);  // deferred while the stutter progresses
+  return AmpleVass(std::move(v), {{0, 1}});
+}
+
+TEST(SuccCacheTest, AmpleReductionDefersUntilNoPrefixEdgeProgresses) {
+  // From (0, 0̄) the stutter reaches the fresh node (0, ω): progress, so
+  // the edge to state 1 is skipped there. At (0, ω) the stutter folds
+  // into an equal marking (the node itself), so the prefix makes no
+  // progress and the node expands fully (C3): state 1 is still reached.
+  for (bool prune : {false, true}) {
+    AmpleVass por_system = StutterVass();
+    KarpMillerOptions options;
+    options.prune_coverability = prune;
+    options.por = true;
+    KarpMiller reduced(&por_system, options);
+    reduced.Build({0});
+    EXPECT_EQ(reduced.ample_reduced_successors(), 1u) << "prune=" << prune;
+    EXPECT_EQ(reduced.ample_full_expansions(), 1u) << "prune=" << prune;
+    ASSERT_EQ(reduced.num_nodes(), 3) << "prune=" << prune;
+    EXPECT_EQ(reduced.edges(0).size(), 1u) << "prune=" << prune;
+    // The fully expanded (0, ω) keeps its stutter and the deferred edge.
+    EXPECT_EQ(reduced.node_state(1), 0) << "prune=" << prune;
+    EXPECT_EQ(reduced.edges(1).size(), 2u) << "prune=" << prune;
+    EXPECT_EQ(reduced.node_state(2), 1) << "prune=" << prune;
+
+    AmpleVass full_system = StutterVass();
+    options.por = false;
+    KarpMiller full(&full_system, options);
+    full.Build({0});
+    EXPECT_EQ(full.ample_reduced_successors(), 0u) << "prune=" << prune;
+    EXPECT_EQ(full.ample_full_expansions(), 0u) << "prune=" << prune;
+    EXPECT_GT(full.num_nodes(), reduced.num_nodes()) << "prune=" << prune;
+    EXPECT_EQ(ReachedStates(reduced), ReachedStates(full))
+        << "prune=" << prune;
+  }
+}
+
+TEST(SuccCacheTest, FullLengthPrefixReducesNothing) {
+  // A prefix as long as the successor list is treated as no reduction.
+  ExplicitVass v(2);
   v.AddAction(0, {{0, +1}}, 1);
-  v.AddAction(1, {{0, +1}}, 2);
-  v.AddAction(2, {{0, +1}}, 1);  // back to state 1, next round
-  KarpMillerOptions tiny_options;
-  tiny_options.succ_cache_capacity = 1;
-  ExplicitVass v1 = v;
-  KarpMiller tiny(&v1, tiny_options);
-  tiny.Build({0});
-  ExplicitVass v2 = v;
-  KarpMiller big(&v2, {});
-  big.Build({0});
-  ExpectSameGraph(big, tiny);
-  // The unbounded cache hits when state 1 recurs; the capacity-1 cache
-  // has evicted it by then and misses strictly more often.
-  EXPECT_GT(tiny.succ_cache_misses(), big.succ_cache_misses());
-  EXPECT_EQ(tiny.succ_cache_hits() + tiny.succ_cache_misses(),
-            static_cast<size_t>(tiny.num_nodes()));
-}
-
-TEST(SuccCacheTest, EvictingSuccCacheKeepsVerdictsIdentical) {
-  // End to end: a cache bound that actually evicts forces TaskVass to
-  // recompute successors of states it already committed. Interned
-  // product states and transition records make the recomputation
-  // reproduce the original edges and labels, so the verdict, the
-  // counterexample and the graph-size counters match the default cache
-  // exactly; only the hit/miss split moves.
-  bench::Workload w = bench::MakeWorkload(SchemaClass::kAcyclic, 3, 2,
-                                          /*with_sets=*/true,
-                                          /*with_arith=*/false);
-  VerifyResult reference = Verify(w.system, w.property);
-  VerifierOptions tiny_options;
-  tiny_options.succ_cache_capacity = 3;
-  VerifyResult tiny = Verify(w.system, w.property, tiny_options);
-  EXPECT_EQ(tiny.verdict, reference.verdict);
-  EXPECT_EQ(tiny.counterexample, reference.counterexample);
-  EXPECT_EQ(tiny.stats.cov_nodes, reference.stats.cov_nodes);
-  EXPECT_EQ(tiny.stats.cov_edges, reference.stats.cov_edges);
-  EXPECT_EQ(tiny.stats.product_states, reference.stats.product_states);
-  EXPECT_GT(tiny.stats.succ_cache_misses, reference.stats.succ_cache_misses);
+  AmpleVass system(std::move(v), {{0, 1}});
+  KarpMillerOptions options;
+  options.por = true;
+  KarpMiller g(&system, options);
+  g.Build({0});
+  EXPECT_EQ(g.num_nodes(), 2);
+  EXPECT_EQ(g.ample_reduced_successors(), 0u);
+  EXPECT_EQ(g.ample_full_expansions(), 0u);
 }
 
 }  // namespace
