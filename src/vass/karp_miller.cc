@@ -6,6 +6,8 @@
 
 namespace has {
 
+const Delta KarpMiller::kNoDelta;
+
 KarpMiller::KarpMiller(VassSystem* system, KarpMillerOptions options)
     : system_(system), options_(options) {}
 
@@ -97,9 +99,10 @@ void KarpMiller::AntichainAbsorb(int node) {
       // The retired node never expands, so walks entering it would
       // dead-end; a label-less cover-edge to the (strictly larger)
       // coverer keeps the closed-walk structure: anything the victim
-      // could do, the coverer's subtree over-approximates.
-      nodes_[static_cast<size_t>(victim)].edges.push_back(
-          Edge{node, -1, {}, /*cover=*/true});
+      // could do, the coverer's subtree over-approximates. Some other
+      // node is expanding right now, so the edge waits for
+      // FlushRetireEdges to get a run of its own.
+      retire_edges_.emplace_back(victim, node);
       ++cover_edges_;
     }
   });
@@ -121,6 +124,17 @@ const KarpMiller::StateSuccessors& KarpMiller::SuccessorsOf(int state) {
   ++cache_misses_;
   it->second.ample = system_->Successors(state, &it->second.edges);
   return it->second;
+}
+
+void KarpMiller::FlushRetireEdges() {
+  for (const auto& [victim, coverer] : retire_edges_) {
+    Node& node = nodes_[static_cast<size_t>(victim)];
+    assert(node.edge_count == 0);
+    node.edge_begin = edges_.size();
+    node.edge_count = 1;
+    edges_.push_back(Edge{coverer, -1, /*cover=*/true});
+  }
+  retire_edges_.clear();
 }
 
 void KarpMiller::Build(const std::vector<int>& initial_states) {
@@ -167,7 +181,7 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
   while (!worklist.empty()) {
     if (nodes_.size() > options_.max_nodes) {
       truncated_ = true;
-      return;
+      break;
     }
     int n = worklist.front();
     worklist.pop_front();
@@ -182,6 +196,9 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
     }
     const StateSuccessors& succ = SuccessorsOf(nodes_[n].state);
     const std::vector<VassEdge>& out = succ.edges;
+    // The node's run in edges_ starts here: nothing else appends to
+    // edges_ until its expansion ends.
+    const size_t edge_begin = edges_.size();
     // Ample-prefix partial-order reduction (options_.por): expand only
     // the leading `ample` edges, and only if at least one of them lands
     // on a FRESH node — a folded stutter is covered by its dominator,
@@ -237,8 +254,7 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
           // marking was folded into the (larger) antichain entry. A
           // folded PREFIX edge stays covered the same way: the
           // dominator's expansion stands in for the stutter target's.
-          nodes_[n].edges.push_back(Edge{dom, e.label, e.delta,
-                                         /*cover=*/true});
+          edges_.push_back(Edge{dom, static_cast<int>(i), /*cover=*/true});
           ++cover_edges_;
           ++pruned_successors_;
           continue;
@@ -246,19 +262,24 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
         int child = make_node(e.target, next, n, e.label);
         if (ample_active) ample_fresh = true;
         round.resize(nodes_.size(), cur_round + 1);
-        nodes_[n].edges.push_back(Edge{child, e.label, e.delta});
+        edges_.push_back(Edge{child, static_cast<int>(i)});
         worklist.push_back(child);
         continue;
       }
       bool created = false;
       int child = InternNode(e.target, next, n, e.label, &created);
-      nodes_[n].edges.push_back(Edge{child, e.label, e.delta});
+      edges_.push_back(Edge{child, static_cast<int>(i)});
       if (created) {
         if (ample_active) ample_fresh = true;
         worklist.push_back(child);
       }
     }
+    Node& node = nodes_[n];
+    node.succ = &succ;
+    node.edge_begin = edge_begin;
+    node.edge_count = edges_.size() - edge_begin;
   }
+  FlushRetireEdges();
 }
 
 int KarpMiller::FindNode(const std::function<bool(int)>& pred) const {
@@ -276,12 +297,6 @@ std::vector<int64_t> KarpMiller::PathLabels(int n) const {
   }
   std::reverse(labels.begin(), labels.end());
   return labels;
-}
-
-size_t KarpMiller::TotalEdges() const {
-  size_t total = 0;
-  for (const Node& n : nodes_) total += n.edges.size();
-  return total;
 }
 
 }  // namespace has

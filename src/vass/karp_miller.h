@@ -21,12 +21,12 @@
 // The pruned graph preserves exactly the reachable VASS states (state
 // reachability is unaffected), and it records a COVER-EDGE at each of
 // the two prune points — a dropped successor becomes an edge from its
-// parent to the antichain node that dominated it (keeping the dropped
-// transition's label and delta), and a retired node gets a label-less
-// edge to its coverer — so the pruned forest plus cover-edges carries
-// the closed-walk structure repeated-reachability (lasso) consumers
-// need: see vass/repeated.h for the criterion and why traversing
-// cover-edges is sound.
+// parent to the antichain node that dominated it (naming the dropped
+// transition, whose label and delta it reads from the kept successor
+// list), and a retired node gets a label-less edge to its coverer — so
+// the pruned forest plus cover-edges carries the closed-walk structure
+// repeated-reachability (lasso) consumers need: see vass/repeated.h
+// for the criterion and why traversing cover-edges is sound.
 #ifndef HAS_VASS_KARP_MILLER_H_
 #define HAS_VASS_KARP_MILLER_H_
 
@@ -97,31 +97,66 @@ class KarpMiller {
   /// vass/marking.h); the view is valid for the graph's lifetime.
   MarkingView node_marking(int n) const { return nodes_[n].marking; }
 
-  /// A coverability-graph edge. Keeps the raw action delta: closed-walk
-  /// effects on ω-coordinates are not recoverable from the markings.
+  /// A coverability-graph edge: a plain 12-byte value with no heap
+  /// allocation. `index` names the transition in the source node's
+  /// kept successor list (the VassSystem::Successors output for its
+  /// VASS state, kept for the life of the graph), so the label and the
+  /// raw action delta are read through edge_label/edge_delta rather
+  /// than copied per edge. The delta matters: closed-walk effects on
+  /// ω-coordinates are not recoverable from the markings.
   ///
   /// With pruning, `cover` marks a subsumption edge recorded at a prune
   /// point instead of a materialized successor:
   ///   - a DROPPED successor (marking dominated by an antichain node)
-  ///     becomes a cover-edge from its parent to the dominator, keeping
-  ///     the dropped transition's label and delta — the transition is
-  ///     real, only its target was folded into a larger node;
-  ///   - a RETIRED (deactivated) node gets a label-less (-1, empty
-  ///     delta) cover-edge to the newcomer that strictly covers it, so
-  ///     walks entering the retired node continue through the coverer's
-  ///     subtree.
+  ///     becomes a cover-edge from its parent to the dominator; its
+  ///     `index` still names the dropped transition, so it reads the
+  ///     transition's label and delta — the transition is real, only
+  ///     its target was folded into a larger node;
+  ///   - a RETIRED (deactivated) node gets a label-less cover-edge
+  ///     (`index` -1: label -1, empty delta) to the newcomer that
+  ///     strictly covers it, so walks entering the retired node
+  ///     continue through the coverer's subtree.
   /// Both jumps land on a marking ≥ the one the unpruned graph would
   /// have carried (effect-widening), which is what makes them sound for
   /// the lasso criterion in vass/repeated.cc.
   struct Edge {
     int target = -1;
-    int64_t label = -1;
-    Delta delta;
+    /// Position in the source node's kept successor list; -1 for a
+    /// retire cover-edge.
+    int index = -1;
     bool cover = false;
   };
 
+  /// A node's edges: one contiguous run of the graph's flat edge
+  /// array. Valid until the next Build call.
+  class EdgeSpan {
+   public:
+    EdgeSpan(const Edge* data, size_t size) : data_(data), size_(size) {}
+    const Edge* begin() const { return data_; }
+    const Edge* end() const { return data_ + size_; }
+    size_t size() const { return size_; }
+    const Edge& operator[](size_t i) const { return data_[i]; }
+
+   private:
+    const Edge* data_;
+    size_t size_;
+  };
+
   /// Graph edges out of node n.
-  const std::vector<Edge>& edges(int n) const { return nodes_[n].edges; }
+  EdgeSpan edges(int n) const {
+    const Node& node = nodes_[n];
+    return EdgeSpan(edges_.data() + node.edge_begin, node.edge_count);
+  }
+  /// Action label of edge `e` out of node n (-1 for a retire
+  /// cover-edge).
+  int64_t edge_label(int n, const Edge& e) const {
+    return e.index < 0 ? -1 : nodes_[n].succ->edges[e.index].label;
+  }
+  /// Action delta of edge `e` out of node n (empty for a retire
+  /// cover-edge).
+  const Delta& edge_delta(int n, const Edge& e) const {
+    return e.index < 0 ? kNoDelta : nodes_[n].succ->edges[e.index].delta;
+  }
 
   /// Spanning-tree parent of node n (-1 for roots).
   int node_parent(int n) const { return nodes_[n].parent; }
@@ -134,7 +169,7 @@ class KarpMiller {
   std::vector<int64_t> PathLabels(int n) const;
 
   /// Statistics for the benchmark harness.
-  size_t TotalEdges() const;
+  size_t TotalEdges() const { return edges_.size(); }
   /// Successor-list accounting: one hit or miss per processed node. A
   /// miss is the first expansion of a VASS state (the one
   /// VassSystem::Successors call for it); a hit reuses the kept list.
@@ -194,26 +229,31 @@ class KarpMiller {
   }
 
  private:
-  struct Node {
-    int state = -1;
-    /// Packed payload in marking_arena_ (canonical form).
-    MarkingView marking;
-    int parent = -1;          // spanning-tree parent
-    int64_t parent_label = -1;
-    std::vector<Edge> edges;
-  };
-
-  /// (VASS state, marking) — the interned identity of a node. States
-  /// are already pool-interned ids upstream, so hashing the pair is a
-  /// flat integer mix with no serialization.
-  using NodeKey = std::pair<int, std::vector<int64_t>>;
-
   /// A VASS state's successor edges and ample-prefix length, as the
   /// system returned them.
   struct StateSuccessors {
     std::vector<VassEdge> edges;
     int ample = 0;
   };
+
+  struct Node {
+    int state = -1;
+    int parent = -1;          // spanning-tree parent
+    /// Packed payload in marking_arena_ (canonical form).
+    MarkingView marking;
+    int64_t parent_label = -1;
+    /// The state's kept successor list, set when the node expands; the
+    /// Edge::index of the node's expansion edges points into it.
+    const StateSuccessors* succ = nullptr;
+    /// The node's run in edges_.
+    size_t edge_begin = 0;
+    size_t edge_count = 0;
+  };
+
+  /// (VASS state, marking) — the interned identity of a node. States
+  /// are already pool-interned ids upstream, so hashing the pair is a
+  /// flat integer mix with no serialization.
+  using NodeKey = std::pair<int, std::vector<int64_t>>;
 
   int InternNode(int state, const std::vector<int64_t>& marking, int parent,
                  int64_t parent_label, bool* created);
@@ -248,9 +288,23 @@ class KarpMiller {
   /// continue through the coverer's subtree.
   void AntichainAbsorb(int node);
 
+  /// Appends the deferred retire cover-edges to edges_, one run per
+  /// retired node.
+  void FlushRetireEdges();
+
+  static const Delta kNoDelta;
+
   VassSystem* system_;
   KarpMillerOptions options_;
   std::vector<Node> nodes_;
+  /// Every node's edges, each node's expansion edges one contiguous run
+  /// (CSR: Node::edge_begin/edge_count). A node's run is written while
+  /// it expands, so runs follow expansion order.
+  std::vector<Edge> edges_;
+  /// (retired node, coverer) pairs recorded while another node is
+  /// expanding, appended to edges_ when Build returns. A retired node
+  /// never expands, so this edge is its whole run.
+  std::vector<std::pair<int, int>> retire_edges_;
   /// Packed marking payloads, appended in node-creation order (a
   /// node's marking is adjacent to its round neighbours — the entries
   /// antichain probes walk together).

@@ -32,7 +32,7 @@ std::vector<int> ComputeSccs(const KarpMiller& g, int* num_sccs) {
     on_stack[start] = true;
     while (!frames.empty()) {
       Frame& f = frames.back();
-      const auto& edges = g.edges(f.node);
+      const KarpMiller::EdgeSpan edges = g.edges(f.node);
       if (f.edge_index < edges.size()) {
         int next = edges[f.edge_index++].target;
         if (disc[next] == -1) {
@@ -129,12 +129,13 @@ std::optional<std::vector<int64_t>> FindAnyLoop(const KarpMiller& g,
     int u = queue[qi];
     for (const KarpMiller::Edge& e : g.edges(u)) {
       if (scc[e.target] != target) continue;
+      const int64_t label = g.edge_label(u, e);
       if (e.target == start) {
         // Label-less cover hops (label -1) are walk steps but not
         // transitions; they can appear here only in the delta-free
         // cover-SCC case.
         std::vector<int64_t> labels;
-        if (e.label >= 0) labels.push_back(e.label);
+        if (label >= 0) labels.push_back(label);
         for (int w = u; w != start; w = parent_node[w]) {
           if (parent_label[w] >= 0) labels.push_back(parent_label[w]);
         }
@@ -144,7 +145,7 @@ std::optional<std::vector<int64_t>> FindAnyLoop(const KarpMiller& g,
       if (!seen[e.target]) {
         seen[e.target] = true;
         parent_node[e.target] = u;
-        parent_label[e.target] = e.label;
+        parent_label[e.target] = label;
         queue.push_back(e.target);
       }
     }
@@ -190,7 +191,7 @@ std::optional<std::vector<int64_t>> FindNonNegLoop(
       if (scc[e.target] != target) continue;
       std::vector<int64_t> eff = cur.second;
       bool feasible = true;
-      for (const auto& [dim, change] : e.delta) {
+      for (const auto& [dim, change] : g.edge_delta(cur.first, e)) {
         for (size_t k = 0; feasible && k < td.dims.size(); ++k) {
           if (td.dims[k] != dim) continue;
           int64_t v = eff[k] + change;
@@ -233,7 +234,8 @@ std::optional<std::vector<int64_t>> FindNonNegLoop(
         // Reconstruct the label sequence; label-less cover hops are
         // walk steps but contribute no transition.
         std::vector<int64_t> labels;
-        if (e.label >= 0) labels.push_back(e.label);
+        const int64_t label = g.edge_label(cur.first, e);
+        if (label >= 0) labels.push_back(label);
         Key key = cur;
         while (key != init) {
           auto it = parent.find(key);
@@ -246,7 +248,7 @@ std::optional<std::vector<int64_t>> FindNonNegLoop(
       }
       Key key{e.target, std::move(eff)};
       if (seen.insert(key).second) {
-        parent[key] = {cur, e.label};
+        parent[key] = {cur, g.edge_label(cur.first, e)};
         stack.push_back(std::move(key));
       }
     }
@@ -308,7 +310,7 @@ std::optional<LassoWitness> FindAcceptingLasso(
         for (const KarpMiller::Edge& e : graph.edges(u)) {
           if (scc[e.target] != target) continue;
           if (e.cover) has_cover = true;
-          for (const auto& [dim, change] : e.delta) {
+          for (const auto& [dim, change] : graph.edge_delta(u, e)) {
             (void)change;
             if (std::find(touched.begin(), touched.end(), dim) ==
                 touched.end()) {

@@ -213,8 +213,9 @@ TEST(CoverLassoTest, RetiredNodeKeepsLabelLessCoverEdge) {
     ASSERT_EQ(g.edges(n).size(), 1u);
     const KarpMiller::Edge& e = g.edges(n)[0];
     EXPECT_TRUE(e.cover);
-    EXPECT_EQ(e.label, -1);
-    EXPECT_TRUE(e.delta.empty());
+    EXPECT_EQ(e.index, -1);
+    EXPECT_EQ(g.edge_label(n, e), -1);
+    EXPECT_TRUE(g.edge_delta(n, e).empty());
     // The coverer strictly dominates the retired node.
     EXPECT_EQ(g.node_state(e.target), g.node_state(n));
     EXPECT_TRUE(marking::LessEq(g.node_marking(n), g.node_marking(e.target)));

@@ -9,9 +9,13 @@
 // (strictly fewer nodes on subsumption-heavy systems).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "builders.h"
+#include "core/rt_relation.h"
 #include "core/verifier.h"
 #include "spec/parser.h"
 #include "spec_file.h"
@@ -144,9 +148,11 @@ TEST(PrunedKarpMillerTest, RealEdgesFormAForestCoverEdgesCloseWalks) {
     for (const KarpMiller::Edge& e : g.edges(n)) {
       if (e.cover) {
         ++cover;
-        // Drop cover-edges keep the dropped transition's label; retire
+        // Drop cover-edges name the dropped transition; retire
         // cover-edges are label-less with an empty delta.
-        if (e.label < 0) EXPECT_TRUE(e.delta.empty());
+        if (g.edge_label(n, e) < 0) {
+          EXPECT_TRUE(g.edge_delta(n, e).empty());
+        }
       } else {
         ++real;
         // A real pruned edge always points at a strictly newer node.
@@ -159,6 +165,143 @@ TEST(PrunedKarpMillerTest, RealEdgesFormAForestCoverEdgesCloseWalks) {
   EXPECT_EQ(cover, g.pruned_successors() + g.deactivated_nodes());
   EXPECT_EQ(g.TotalEdges(), real + cover);
   EXPECT_GT(cover, 0u);
+}
+
+/// A chain where every level both retires and drops: state k moves to
+/// k + 1 by a plain step, then by a +1 on counter k (a strictly larger
+/// newcomer that deactivates the plain step's node), then by the same
+/// +1 again under another label (dominated by the node just made, so
+/// dropped).
+ExplicitVass RetireChainVass(int len) {
+  ExplicitVass v(len + 1);
+  for (int k = 0; k < len; ++k) {
+    v.AddAction(k, {}, k + 1);
+    v.AddAction(k, {{k, +1}}, k + 1);
+    v.AddAction(k, {{k, +1}}, k + 1);
+  }
+  return v;
+}
+
+TEST(PrunedKarpMillerTest, TruncatedBuildKeepsRetireEdges) {
+  // Retire cover-edges are recorded while another node expands and
+  // join the flat edge array when Build returns; a build cut short by
+  // max_nodes must still flush them, including the one recorded by the
+  // last expansion before the cut.
+  ExplicitVass v = RetireChainVass(10);
+  KarpMillerOptions options;
+  options.prune_coverability = true;
+  options.max_nodes = 6;
+  KarpMiller g(&v, options);
+  g.Build({0});
+  ASSERT_TRUE(g.truncated());
+  EXPECT_EQ(g.deactivated_nodes(), 3u);
+  EXPECT_EQ(g.pruned_successors(), 3u);
+
+  size_t cover = 0, total = 0;
+  for (int n = 0; n < g.num_nodes(); ++n) {
+    total += g.edges(n).size();
+    for (const KarpMiller::Edge& e : g.edges(n)) {
+      if (e.cover) ++cover;
+    }
+  }
+  EXPECT_EQ(g.cover_edges(), g.pruned_successors() + g.deactivated_nodes());
+  EXPECT_EQ(cover, g.cover_edges());
+  EXPECT_EQ(total, g.TotalEdges());
+
+  for (int n = 0; n < g.num_nodes(); ++n) {
+    if (!g.node_deactivated(n)) continue;
+    ASSERT_EQ(g.edges(n).size(), 1u) << n;
+    const KarpMiller::Edge& e = g.edges(n)[0];
+    EXPECT_TRUE(e.cover) << n;
+    EXPECT_EQ(g.edge_label(n, e), -1) << n;
+    EXPECT_TRUE(g.edge_delta(n, e).empty()) << n;
+    // The coverer strictly covers the retired node.
+    EXPECT_EQ(g.node_state(e.target), g.node_state(n)) << n;
+    EXPECT_TRUE(marking::LessEq(g.node_marking(n), g.node_marking(e.target)))
+        << n;
+    EXPECT_FALSE(g.node_marking(n) == g.node_marking(e.target)) << n;
+  }
+}
+
+/// Builds `system`'s graph pruned and unpruned, POR off and on, and
+/// checks that every edge reads its label and delta from the kept
+/// successor list it indexes: the system's own list for the source
+/// node's state. Retire cover-edges index nothing. Adds the successors
+/// the POR-on builds skipped to `*ample_reduced`.
+void ExpectEdgesReadKeptLists(VassSystem* system,
+                              const std::vector<int>& initial,
+                              const std::string& what,
+                              size_t* ample_reduced) {
+  std::map<int, std::vector<VassEdge>> lists;
+  auto list_of = [&](int state) -> const std::vector<VassEdge>& {
+    auto [it, inserted] = lists.try_emplace(state);
+    if (inserted) system->Successors(state, &it->second);
+    return it->second;
+  };
+  for (bool prune : {false, true}) {
+    for (bool por : {false, true}) {
+      KarpMillerOptions options;
+      options.prune_coverability = prune;
+      options.por = por;
+      KarpMiller g(system, options);
+      g.Build(initial);
+      const std::string where = what + " prune=" + std::to_string(prune) +
+                                " por=" + std::to_string(por);
+      size_t indexed = 0;
+      for (int n = 0; n < g.num_nodes(); ++n) {
+        for (const KarpMiller::Edge& e : g.edges(n)) {
+          if (e.index < 0) {
+            EXPECT_TRUE(e.cover) << where;
+            EXPECT_TRUE(g.node_deactivated(n)) << where;
+            continue;
+          }
+          const std::vector<VassEdge>& list = list_of(g.node_state(n));
+          ASSERT_LT(static_cast<size_t>(e.index), list.size()) << where;
+          const VassEdge& kept = list[static_cast<size_t>(e.index)];
+          EXPECT_EQ(g.edge_label(n, e), kept.label) << where;
+          EXPECT_EQ(g.edge_delta(n, e), kept.delta) << where;
+          // Real and drop edges alike land on a node of the
+          // transition's target state.
+          EXPECT_EQ(g.node_state(e.target), kept.target) << where;
+          ++indexed;
+        }
+      }
+      EXPECT_GT(indexed, 0u) << where;
+      *ample_reduced += g.ample_reduced_successors();
+    }
+  }
+}
+
+TEST(PrunedKarpMillerTest, EdgesReadTheKeptSuccessorLists) {
+  static_assert(sizeof(KarpMiller::Edge) <= 12,
+                "an edge is a plain value with no heap allocation");
+  size_t ample_reduced = 0;
+  ExplicitVass pump = PumpVass(3);
+  ExpectEdgesReadKeptLists(&pump, {0}, "PumpVass(3)", &ample_reduced);
+  ExplicitVass chain = RetireChainVass(4);
+  ExpectEdgesReadKeptLists(&chain, {0}, "RetireChainVass(4)",
+                           &ample_reduced);
+  EXPECT_EQ(ample_reduced, 0u) << "explicit systems report no prefix";
+
+  // A task VASS with live ample prefixes: the root task's witnessing
+  // product of a one-relation MakeMultiRelation (two relations take
+  // seconds to build unpruned).
+  bench::Workload w = bench::MakeMultiRelation(/*size=*/2, /*depth=*/2,
+                                               /*num_rels=*/1);
+  HltlProperty negated = w.property.Negated();
+  std::optional<Hcd> hcd;
+  if (SystemUsesArithmetic(w.system, w.property)) {
+    hcd = BuildSystemHcd(w.system, negated);
+  }
+  RtEngine engine(&w.system, &negated, VerifierOptions{},
+                  hcd.has_value() ? &*hcd : nullptr);
+  RtEngine::RootWitness witness = engine.CheckRoot();
+  ASSERT_TRUE(witness.satisfiable);
+  const RtEngine::Entry* entry = engine.FindEntry(witness.entry_key);
+  ASSERT_NE(entry, nullptr);
+  ExpectEdgesReadKeptLists(entry->vass.get(), entry->vass->InitialStates(),
+                           w.name, &ample_reduced);
+  EXPECT_GT(ample_reduced, 0u) << "the task VASS must use ample prefixes";
 }
 
 /// Cross-validation core: verdict equality pruned vs. unpruned.

@@ -52,10 +52,12 @@ void ExpectSameGraph(const KarpMiller& a, const KarpMiller& b) {
     EXPECT_EQ(a.node_parent(n), b.node_parent(n)) << n;
     ASSERT_EQ(a.edges(n).size(), b.edges(n).size()) << n;
     for (size_t i = 0; i < a.edges(n).size(); ++i) {
-      EXPECT_EQ(a.edges(n)[i].target, b.edges(n)[i].target) << n;
-      EXPECT_EQ(a.edges(n)[i].label, b.edges(n)[i].label) << n;
-      EXPECT_EQ(a.edges(n)[i].delta, b.edges(n)[i].delta) << n;
-      EXPECT_EQ(a.edges(n)[i].cover, b.edges(n)[i].cover) << n;
+      const KarpMiller::Edge& ea = a.edges(n)[i];
+      const KarpMiller::Edge& eb = b.edges(n)[i];
+      EXPECT_EQ(ea.target, eb.target) << n;
+      EXPECT_EQ(a.edge_label(n, ea), b.edge_label(n, eb)) << n;
+      EXPECT_EQ(a.edge_delta(n, ea), b.edge_delta(n, eb)) << n;
+      EXPECT_EQ(ea.cover, eb.cover) << n;
     }
   }
 }
