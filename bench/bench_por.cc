@@ -61,8 +61,6 @@ void RunVerification(benchmark::State& state, const Workload& w) {
       static_cast<double>(stats.antichain_bucket_probes);
   state.counters["antichain_buckets_peak"] =
       static_cast<double>(stats.antichain_buckets_peak);
-  state.counters["sparse_markings"] =
-      static_cast<double>(stats.sparse_markings);
   state.counters["ample_reduced_successors"] =
       static_cast<double>(stats.ample_reduced_successors);
   state.counters["ample_full_expansions"] =
@@ -71,8 +69,6 @@ void RunVerification(benchmark::State& state, const Workload& w) {
       static_cast<double>(stats.succ_memo_hits);
   state.counters["succ_memo_misses"] =
       static_cast<double>(stats.succ_memo_misses);
-  state.counters["full_graph_builds"] =
-      static_cast<double>(stats.full_graph_builds);
   state.counters["sliced_services"] =
       static_cast<double>(stats.sliced_services);
   state.counters["sliced_dims"] = static_cast<double>(stats.sliced_dims);

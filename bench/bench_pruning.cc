@@ -2,9 +2,8 @@
 // VerifierOptions::prune_coverability off (arg 0) vs. on (arg 1, the
 // default) per workload family, reporting the DETERMINISTIC
 // exploration counters — coverability nodes/edges, dropped successors,
-// deactivated nodes, antichain peak, recorded cover-edges, full-graph
-// fallback count (pinned at 0 since the cover-edge lasso path landed),
-// product states and interned types. The counters are
+// deactivated nodes, antichain peak, recorded cover-edges, product
+// states and interned types. The counters are
 // schedule- and host-independent, so
 // bench/baselines/bench_pruning.json doubles as a perf-regression
 // oracle: scripts/check_bench_counters.py fails CI on unexplained
@@ -66,8 +65,6 @@ void RunVerification(benchmark::State& state, const Workload& w) {
       static_cast<double>(stats.antichain_bucket_probes);
   state.counters["antichain_buckets_peak"] =
       static_cast<double>(stats.antichain_buckets_peak);
-  state.counters["sparse_markings"] =
-      static_cast<double>(stats.sparse_markings);
   state.counters["ample_reduced_successors"] =
       static_cast<double>(stats.ample_reduced_successors);
   state.counters["ample_full_expansions"] =
@@ -76,10 +73,6 @@ void RunVerification(benchmark::State& state, const Workload& w) {
       static_cast<double>(stats.succ_memo_hits);
   state.counters["succ_memo_misses"] =
       static_cast<double>(stats.succ_memo_misses);
-  // Always 0 since lasso analysis runs on the pruned graph itself;
-  // scripts/check_bench_counters.py fails the gate if it ever revives.
-  state.counters["full_graph_builds"] =
-      static_cast<double>(stats.full_graph_builds);
   state.counters["sliced_services"] =
       static_cast<double>(stats.sliced_services);
   state.counters["sliced_dims"] = static_cast<double>(stats.sliced_dims);

@@ -8,11 +8,7 @@ types, recorded cover-edges) are pure work counts: they are schedule-
 and host-independent, so exceeding the baseline means the change
 genuinely made the verifier explore more — unlike wall-clock, which
 stays informational (the committed baselines come from a 1-vCPU
-container; see ROADMAP.md). full_graph_builds must be exactly 0 in
-every run: the pruned path's full-graph lasso fallback is retired
-(lasso search traverses the pruned graph's cover-edges), and this
-counter coming back nonzero is the regression the gate exists to
-catch.
+container; see ROADMAP.md).
 
 Usage:
   check_bench_counters.py BASELINE.json RUN.json [--tolerance PCT]
@@ -51,15 +47,10 @@ GATED = [
     # (the bucket layout follows the sequential insertion/removal
     # history).
     "antichain_bucket_probes",
-    # Coverability-node markings stored under the sparse
-    # (dimension, value)-pair representation. A pure function of the
-    # (deterministic) node set and the per-marking density rule, so any
-    # drift means the stored representation changed.
-    "sparse_markings",
     # bench_marking kernel-semantics counts: the number of ≤ pairs and
     # of summary-filter survivors over a fixed-seed random corpus.
-    # Gated with --exact in CI, so the scalar and SIMD kernel builds
-    # must both reproduce them bit-for-bit.
+    # Gated with --exact in CI, so the kernel must reproduce them
+    # bit-for-bit.
     "leq_true",
     "summary_pass",
     # Successors the ample-prefix partial-order reduction never
@@ -84,13 +75,6 @@ GATED = [
     "sliced_dims",
     "diagnostics_emitted",
 ]
-# Counters that must be EXACTLY ZERO in every run: lasso analysis runs
-# on the pruned graph itself (via cover-edges), so a single full-graph
-# rebuild means the fallback came back. Checked against the run alone —
-# a stale baseline cannot grandfather a regression in.
-EXPECT_ZERO = [
-    "full_graph_builds",
-]
 # Deterministic but directionless: a drift is worth a look, not a fail
 # (e.g. pruning MORE successors is usually good news).
 INFORMATIONAL = [
@@ -100,7 +84,7 @@ INFORMATIONAL = [
     # Largest per-state bucket count of the bucketed dominance index:
     # tracks antichain shape, not work done (mirrors antichain_peak).
     "antichain_buckets_peak",
-    # Probes resolved by the support-summary prefilter alone: more
+    # Probes resolved by the summary prefilter alone: more
     # skips is good news, so drift is surfaced, not gated.
     "antichain_skipped_by_summary",
     # Ample attempts that reverted to full expansion because a prefix
@@ -200,27 +184,6 @@ def main():
                 notes.append(
                     f"{name}: wall-clock {(c - b) / b:+.1%} vs baseline "
                     "(informational; hosts differ)"
-                )
-
-    # Zero-expected counters are checked against the RUN alone (every
-    # benchmark, baselined or not): a stale baseline cannot grandfather
-    # a revived fallback in. A benchmark that exports the counter in
-    # the baseline but not in the run fails too — deleting the counter
-    # must not silently disarm the tripwire.
-    for name, cur in sorted(run.items()):
-        for counter in EXPECT_ZERO:
-            if counter not in cur:
-                if name in baseline and counter in baseline[name]:
-                    failures.append(
-                        f"{name}: zero-expected counter {counter} "
-                        "disappeared from the run"
-                    )
-                continue
-            if float(cur[counter]) != 0.0:
-                failures.append(
-                    f"{name}: {counter} must be 0, got "
-                    f"{float(cur[counter]):.0f} (the full-graph lasso "
-                    "fallback is retired)"
                 )
 
     for name in sorted(set(run) - set(baseline)):

@@ -118,14 +118,12 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
   // closed-walk structure lives in the recorded cover-edges and
   // FindAcceptingLasso knows how to traverse them (vass/repeated.h);
   // with pruning off, the graph is the classical full coverability
-  // graph. Either way no second exploration is ever built — the old
-  // full-graph fallback (and its 12–22x node blow-up on lasso-heavy
-  // families) is gone, which is what keeps stats_.full_graph_builds
-  // pinned at zero. The lasso search runs when the ⊥-bit is still
-  // open and some Büchi-accepting state is reachable (a per-state
-  // scan, exact under pruning), and also — for a nicer witness than
-  // the blocking one — when ⊥ is already settled but the graph is
-  // small enough (VerifierOptions::lasso_witness_max_nodes).
+  // graph. Either way no second exploration is ever built. The lasso
+  // search runs when the ⊥-bit is still open and some Büchi-accepting
+  // state is reachable (a per-state scan, exact under pruning), and
+  // also — for a nicer witness than the blocking one — when ⊥ is
+  // already settled but the graph is small enough
+  // (VerifierOptions::lasso_witness_max_nodes).
   const auto accepting = [&](int state) {
     return entry->vass->IsBuchiAccepting(state);
   };
@@ -179,7 +177,6 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
       entry->graph->antichain_skipped_by_summary();
   stats_.antichain_buckets_peak = std::max(
       stats_.antichain_buckets_peak, entry->graph->antichain_buckets_peak());
-  stats_.sparse_markings += entry->graph->sparse_markings();
   stats_.ample_reduced_successors +=
       entry->graph->ample_reduced_successors();
   stats_.ample_full_expansions += entry->graph->ample_full_expansions();

@@ -61,10 +61,7 @@ struct RtStats {
   size_t antichain_bucket_probes = 0;
   size_t antichain_skipped_by_summary = 0;
   size_t antichain_buckets_peak = 0;
-  /// Coverability-node markings stored under the sparse
-  /// (dimension, value)-pair representation (MarkingArena::AddAuto;
-  /// deterministic — the node set and the per-marking selection rule
-  /// are both fixed).
+  /// Always 0: every marking is stored dense. Only perfbench reads it.
   size_t sparse_markings = 0;
   /// Partial-order reduction accounting (0 unless VerifierOptions::por):
   /// successors never generated because an ample prefix covered the
@@ -76,10 +73,8 @@ struct RtStats {
   /// timing).
   size_t ample_reduced_successors = 0;
   size_t ample_full_expansions = 0;
-  /// Queries that fell back to rebuilding a full (unpruned) graph for
-  /// lasso analysis. Lasso search runs on the pruned graph itself via
-  /// its cover-edges, so this is ALWAYS 0 now; the counter is kept as
-  /// a regression tripwire (tests and the CI bench gate assert zero).
+  /// Always 0: lasso search runs on the pruned graph itself via its
+  /// cover-edges. Only perfbench reads it.
   size_t full_graph_builds = 0;
   /// Static analysis / slicing accounting (filled by Verify, not the
   /// engine; deterministic functions of the spec+property, invariant

@@ -41,8 +41,7 @@ struct VerifierOptions {
   /// When a blocking witness has already settled a query's ⊥-bit, the
   /// lasso search is pure counterexample polish — a lasso reads nicer
   /// than a blocking run — so it only runs if the coverability graph
-  /// has fewer nodes than this. (Previously a buried `< 20000` literal
-  /// on the unpruned path only; now honored with pruning on or off.)
+  /// has fewer nodes than this, with pruning on or off.
   size_t lasso_witness_max_nodes = 20000;
   /// Antichain subsumption pruning for the coverability explorations
   /// (minimal-coverability-set style; VERIFAS' biggest practical win

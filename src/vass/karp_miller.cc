@@ -21,7 +21,7 @@ int KarpMiller::InternNode(int state, const std::vector<int64_t>& marking,
   }
   Node node;
   node.state = state;
-  node.marking = marking_arena_.AddAuto(marking);
+  node.marking = marking_arena_.Add(marking);
   node.parent = parent;
   node.parent_label = parent_label;
   int id = static_cast<int>(nodes_.size());
@@ -152,7 +152,7 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
     int id = static_cast<int>(nodes_.size());
     Node node;
     node.state = state;
-    node.marking = marking_arena_.AddAuto(marking);
+    node.marking = marking_arena_.Add(marking);
     node.parent = parent;
     node.parent_label = parent_label;
     nodes_.push_back(std::move(node));

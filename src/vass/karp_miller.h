@@ -208,10 +208,6 @@ class KarpMiller {
   }
   /// Largest per-state bucket count observed (wild bucket included).
   size_t antichain_buckets_peak() const { return antichain_buckets_peak_; }
-  /// Node markings stored under the sparse (dimension, value)-pair
-  /// representation (MarkingArena::AddAuto). Deterministic: the node
-  /// set and the per-marking selection rule are both fixed.
-  size_t sparse_markings() const { return marking_arena_.sparse_markings(); }
   /// Partial-order-reduction accounting (both 0 unless options.por and
   /// the system reports ample prefixes).
   /// Successors skipped because an ample prefix expanded in their

@@ -3,9 +3,9 @@
 // index must return the identical minimum-id dominator and remove the
 // identical victim set as a linear walk over the same antichain, on
 // randomized explorer-like insert/probe/absorb sequences mixing ω
-// lanes (wild-bucket routing), widths past the 32-dimension group wrap
-// (inexact summaries), sparse pair-payload markings (AddAuto), and
-// tie-rank cases with several simultaneous dominators.
+// values (wild-bucket routing), widths past the 32-dimension group wrap
+// (inexact summaries, which no product workload reaches), and tie-rank
+// cases with several simultaneous dominators.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,9 +54,7 @@ std::vector<int64_t> Canonical(std::vector<int64_t> m) {
 }
 
 /// Random canonical marking. `max_dims` up to 40 crosses the 32-dim
-/// group wrap (inexact summaries, no ω-cover fast accept); a high zero
-/// probability at large widths makes AddAuto pick the sparse pair
-/// representation for a healthy fraction of the corpus.
+/// group wrap (inexact summaries, no ω-cover fast accept).
 std::vector<int64_t> RandomMarking(std::mt19937* rng, int max_dims) {
   std::vector<int64_t> m(static_cast<size_t>((*rng)() % (max_dims + 1)), 0);
   for (auto& v : m) {
@@ -78,6 +76,7 @@ void RunExplorerLikeSequence(int max_dims, uint32_t seed) {
   std::vector<FlatEntry> flat;
   int next_node = 0;
   size_t fast_accepts_possible = 0;
+  size_t wide_entries = 0;
   for (int step = 0; step < 3000; ++step) {
     const std::vector<int64_t> m = RandomMarking(&rng, max_dims);
     const MarkingView probe(m);
@@ -108,33 +107,38 @@ void RunExplorerLikeSequence(int max_dims, uint32_t seed) {
     }
     flat = std::move(kept);
 
-    // Store through AddAuto so sparse pair payloads enter the index;
-    // the flat reference keeps the owned vector.
-    const MarkingView stored = arena.AddAuto(m.data(), m.size());
+    // The index holds arena payloads; the flat reference keeps the
+    // owned vector.
+    const MarkingView stored = arena.Add(m);
     index.Insert(next_node, stored);
     flat.push_back(FlatEntry{next_node, m, stored});
     ++next_node;
     ASSERT_EQ(index.size(), flat.size()) << "step " << step;
-    if (m.size() <= 32) ++fast_accepts_possible;
+    if (m.size() <= 32) {
+      ++fast_accepts_possible;
+    } else {
+      ++wide_entries;
+    }
   }
   // The sequence actually exercised the interesting paths.
   EXPECT_GT(index.num_buckets(), 1u);
   EXPECT_GT(fast_accepts_possible, 0u);
-  if (max_dims >= static_cast<int>(MarkingArena::kSparseMinWidth)) {
-    EXPECT_GT(arena.sparse_markings(), 0u);
+  // Entries wider than 32 dims take the inexact (`exact = false`)
+  // path; the wide corpus must actually insert some.
+  if (max_dims > 32) {
+    EXPECT_GT(wide_entries, 0u);
   }
 }
 
 TEST(DominanceIndexTest, MatchesFlatReferenceNarrow) {
   // Widths <= 6 mirror the real product VASSes: exact summaries, the
-  // ω-cover fast accept live on every bucket, no sparse payloads.
+  // ω-cover fast accept live on every bucket.
   RunExplorerLikeSequence(/*max_dims=*/6, /*seed=*/20260808u);
 }
 
-TEST(DominanceIndexTest, MatchesFlatReferenceWideWithSparsePayloads) {
+TEST(DominanceIndexTest, MatchesFlatReferenceWide) {
   // Widths up to 40: group wrap disables the fast accept for part of
-  // the corpus (exact and inexact entries share buckets), and AddAuto
-  // stores the sparse half of the corpus as pair payloads.
+  // the corpus (exact and inexact entries share buckets).
   RunExplorerLikeSequence(/*max_dims=*/40, /*seed=*/0xd0117e5u);
 }
 

@@ -36,7 +36,6 @@ Verdict ExpectPorEquivalence(const ArtifactSystem& system,
   // input-bound bits the POR-off opening states lack, so some opens
   // key new oracle queries.
   EXPECT_LE(por.stats.cov_nodes, reference.stats.cov_nodes) << what;
-  EXPECT_EQ(por.stats.full_graph_builds, 0u) << what;
   return reference.verdict;
 }
 

@@ -315,11 +315,8 @@ void ExpectPruningEquivalence(const ArtifactSystem& system,
   options.prune_coverability = true;
   VerifyResult pruned = Verify(system, property, options);
   EXPECT_EQ(pruned.verdict, reference.verdict) << what;
-  // Lasso analysis runs on the pruned graph itself (cover-edges);
-  // the full-graph fallback is gone for good.
-  EXPECT_EQ(pruned.stats.full_graph_builds, 0u) << what;
-  // Without fallback rebuilds, pruning never explores more nodes than
-  // the full build.
+  // Lasso analysis runs on the pruned graph itself (cover-edges), so
+  // pruning never explores more nodes than the full build.
   EXPECT_LE(pruned.stats.cov_nodes, reference.stats.cov_nodes) << what;
 }
 

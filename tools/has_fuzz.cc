@@ -30,13 +30,16 @@
 // pin disappears when the engine bug is fixed and the .xfail removed).
 //
 // Exit codes: 0 clean, 1 disagreement / replay failure, 2 internal
-// error (generator bug, unreadable input).
+// error (generator bug, unreadable input) or a bad command line.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -84,6 +87,30 @@ int Usage() {
          "       has_fuzz --replay-dir DIR [--require-witness] "
          "[--strict-witness] [--max-nodes N]\n";
   return 2;
+}
+
+/// Checked parse of a whole flag value as an integer in [0, max]:
+/// nullopt on garbage, trailing characters, a sign or overflow.
+std::optional<uint64_t> ParseUnsigned(const std::string& text, uint64_t max) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// Checked parse of a whole flag value as a finite number >= 0.
+std::optional<double> ParseSeconds(const std::string& text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value) ||
+      value < 0) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 /// Parses + validates; nullopt (with a message) when the spec is not
@@ -466,18 +493,26 @@ int Run(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
+    auto bad_value = [&] {
+      std::cerr << "missing or malformed value for " << arg << "\n";
+      return Usage();
+    };
     if (arg == "--seed") {
       auto v = next();
-      if (!v) return Usage();
-      flags.seed = std::stoull(*v);
+      auto seed = v ? ParseUnsigned(*v, UINT64_MAX) : std::nullopt;
+      if (!seed) return bad_value();
+      flags.seed = *seed;
     } else if (arg == "--count") {
       auto v = next();
-      if (!v) return Usage();
-      flags.count = std::stoi(*v);
+      auto count = v ? ParseUnsigned(*v, std::numeric_limits<int>::max())
+                     : std::nullopt;
+      if (!count) return bad_value();
+      flags.count = static_cast<int>(*count);
     } else if (arg == "--time-budget-s") {
       auto v = next();
-      if (!v) return Usage();
-      flags.time_budget_s = std::stod(*v);
+      auto budget = v ? ParseSeconds(*v) : std::nullopt;
+      if (!budget) return bad_value();
+      flags.time_budget_s = *budget;
     } else if (arg == "--corpus-dir") {
       auto v = next();
       if (!v) return Usage();
@@ -488,8 +523,9 @@ int Run(int argc, char** argv) {
       flags.replay_dir = *v;
     } else if (arg == "--max-nodes") {
       auto v = next();
-      if (!v) return Usage();
-      flags.max_nodes = std::stoull(*v);
+      auto max_nodes = v ? ParseUnsigned(*v, SIZE_MAX) : std::nullopt;
+      if (!max_nodes) return bad_value();
+      flags.max_nodes = static_cast<size_t>(*max_nodes);
     } else if (arg == "--strict-witness") {
       flags.strict_witness = true;
     } else if (arg == "--no-shrink") {
